@@ -1,11 +1,13 @@
 // Extension E1 - chip-level projection of the cell study (the paper's
 // future-work direction): benchmark circuits built from the 14-cell
-// library, static timing analysis over measured cell delays, and row
-// placement in both coupled and per-tier modes.
+// library, static timing analysis over measured cell delays (the library
+// STA over the linear timing model), and row placement in both coupled and
+// per-tier modes.
 //
 // The per-tier placement numbers quantify the paper's "total substrate
 // area ... by up to 31%. However, this requires separate placement
 // algorithms" argument with an actual placer.
+#include "analyze/blockppa.h"
 #include "bench_util.h"
 #include "common/strings.h"
 #include "common/table.h"
@@ -24,37 +26,46 @@ int main(int argc, char** argv) {
   std::printf("[building timing model from transient PPA measurements ...]\n");
   const gatelevel::TimingModel timing = core::build_timing_model(lib);
 
-  const auto circuits = core::benchmark_circuits();
+  // Both placement modes per circuit, each with the library STA over the
+  // measured linear model (the delay is the same in both runs).
+  const charlib::CharLibrary linear = analyze::linear_library(timing);
+  analyze::BlockPpaOptions coupled_opts;
+  coupled_opts.sta.c_ref = timing.c_ref;
+  coupled_opts.place_mode = place::Mode::kCoupled;
+  analyze::BlockPpaOptions split_opts = coupled_opts;
+  split_opts.place_mode = place::Mode::kPerTier;
+  struct CircuitPpa {
+    analyze::BlockPpaReport coupled, split;
+  };
+  std::vector<CircuitPpa> results;
+  for (const auto& ckt : core::benchmark_circuits())
+    results.push_back({analyze::run_block_ppa(ckt, linear, coupled_opts),
+                       analyze::run_block_ppa(ckt, linear, split_opts)});
+  const auto& impls = cells::all_implementations();
 
   std::printf("\nCritical-path delay (STA over measured cell delays):\n");
   TextTable t({"circuit", "cells", "2D (ps)", "1-ch", "2-ch", "4-ch"});
-  for (const auto& ckt : circuits) {
-    double d[4];
-    int k = 0;
-    std::size_t n = 0;
-    for (cells::Implementation impl : cells::all_implementations()) {
-      const core::ChipPpa ppa = core::evaluate_chip(ckt, timing, impl);
-      d[k++] = ppa.critical_delay;
-      n = ppa.num_cells;
-    }
-    t.add_row({ckt.name(), format("%zu", n), format("%.1f", d[0] * 1e12),
-               bench::pct(d[0], d[1]), bench::pct(d[0], d[2]),
-               bench::pct(d[0], d[3])});
+  for (const CircuitPpa& r : results) {
+    const auto& d = r.coupled.rows;
+    t.add_row({r.coupled.design, format("%zu", r.coupled.num_gates),
+               format("%.1f", d[0].delay * 1e12),
+               bench::pct(d[0].delay, d[1].delay),
+               bench::pct(d[0].delay, d[2].delay),
+               bench::pct(d[0].delay, d[3].delay)});
   }
   t.print();
 
   std::printf("\nPlaced chip area, coupled rows vs per-tier placement:\n");
   TextTable a({"circuit", "impl", "coupled (um^2)", "per-tier (um^2)",
                "per-tier gain", "tier balance (top/bottom)"});
-  for (const auto& ckt : circuits) {
-    for (cells::Implementation impl : cells::all_implementations()) {
-      const core::ChipPpa ppa = core::evaluate_chip(ckt, timing, impl);
-      a.add_row({ckt.name(), cells::impl_name(impl),
-                 format("%.3f", ppa.coupled_area * 1e12),
-                 format("%.3f", ppa.per_tier_area * 1e12),
-                 bench::pct(ppa.coupled_area, ppa.per_tier_area),
-                 format("%.2f", ppa.per_tier_top_area /
-                                    ppa.per_tier_bottom_area)});
+  for (const CircuitPpa& r : results) {
+    for (std::size_t k = 0; k < impls.size(); ++k) {
+      const analyze::BlockImplPpa& c = r.coupled.rows[k];
+      const analyze::BlockImplPpa& p = r.split.rows[k];
+      a.add_row({r.coupled.design, cells::impl_name(impls[k]),
+                 format("%.3f", c.area * 1e12), format("%.3f", p.area * 1e12),
+                 bench::pct(c.area, p.area),
+                 format("%.2f", p.top_area / p.bottom_area)});
     }
     a.add_separator();
   }
@@ -64,15 +75,14 @@ int main(int argc, char** argv) {
   std::printf("\nSuite totals (all circuits), area vs 2D coupled placement:\n");
   TextTable s({"impl", "coupled", "per-tier"});
   double base = 0.0;
-  for (cells::Implementation impl : cells::all_implementations()) {
+  for (std::size_t k = 0; k < impls.size(); ++k) {
     double coupled = 0.0, split = 0.0;
-    for (const auto& ckt : circuits) {
-      const core::ChipPpa ppa = core::evaluate_chip(ckt, timing, impl);
-      coupled += ppa.coupled_area;
-      split += ppa.per_tier_area;
+    for (const CircuitPpa& r : results) {
+      coupled += r.coupled.rows[k].area;
+      split += r.split.rows[k].area;
     }
-    if (impl == cells::Implementation::k2D) base = coupled;
-    s.add_row({cells::impl_name(impl), bench::pct(base, coupled),
+    if (k == 0) base = coupled;
+    s.add_row({cells::impl_name(impls[k]), bench::pct(base, coupled),
                bench::pct(base, split)});
   }
   s.print();

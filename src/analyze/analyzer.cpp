@@ -83,65 +83,42 @@ AnalyzeReport analyze_design(const Design& design,
   }
 
   if (options.run_sta && netlist) {
+    LibStaOptions lopts;
+    lopts.loads = options.sta.loads;
+    lopts.clock_period = options.sta.clock_period;
+    lopts.worst_paths = options.sta.worst_paths;
+    std::optional<charlib::CharLibrary> linear;
     if (options.library != nullptr) {
-      LibStaOptions lopts;
-      lopts.loads = options.sta.loads;
-      lopts.clock_period = options.sta.clock_period;
-      if (options.sta.input_slew > 0.0) lopts.input_slew =
-          options.sta.input_slew;
-      lopts.worst_paths = options.sta.worst_paths;
-      report.libsta =
-          run_library_sta(*netlist, *options.library, options.impl, lopts);
-      for (const MissingTiming& m : report.libsta->missing) {
-        sink.error(
-            "missing-timing",
-            m.pin.empty()
-                ? format("cell %s has no characterized timing for "
-                         "implementation %s",
-                         m.cell.c_str(), cells::impl_name(options.impl))
-                : format("cell %s pin %s has no characterized %s arc",
-                         m.cell.c_str(), m.pin.c_str(),
-                         m.input_rise ? "rise" : "fall"),
-            m.instance);
-      }
-      if (report.libsta->clamped_lookups > 0) {
-        sink.info(
-            "table-extrapolation",
-            format("%zu table lookups fell outside the characterization "
-                   "grid and were clamped to the grid edge",
-                   report.libsta->clamped_lookups));
-      }
-      report.sta = report.libsta->to_slack_result();
+      if (options.sta.input_slew > 0.0)
+        lopts.input_slew = options.sta.input_slew;
     } else {
-      // An (impl, cell) hole in the timing model used to fall through to
-      // TimingModel::timing()'s throw mid-pass; diagnose every hole up
-      // front and skip the pass instead.
-      std::map<cells::CellType, std::string> missing;  // type -> instance
-      const auto impl_it = timing.cells.find(options.impl);
-      for (const gatelevel::Instance& inst : netlist->instances()) {
-        if (impl_it == timing.cells.end() ||
-            impl_it->second.find(inst.type) == impl_it->second.end()) {
-          missing.emplace(inst.type, inst.name);
-        }
-      }
-      for (const auto& [type, instance] : missing) {
-        sink.error("missing-timing",
-                   format("cell %s has no timing data for implementation "
-                          "%s (first instance %s)",
-                          cells::cell_name(type),
-                          cells::impl_name(options.impl), instance.c_str()),
-                   instance);
-      }
-      if (missing.empty()) {
-        report.sta =
-            run_slack_sta(*netlist, timing, options.impl, options.sta);
-      } else {
-        sink.info("sta-skipped",
-                  "timing pass skipped: the timing model does not cover "
-                  "every cell (see missing-timing findings)");
-      }
+      // The linear model keeps its own conditions: the configured
+      // primary-input slew (0 s by default) and its reference load.
+      linear = linear_library(timing);
+      lopts.input_slew = options.sta.input_slew;
+      lopts.c_ref = timing.c_ref;
     }
-    if (report.sta && options.sta.clock_period > 0.0) {
+    report.libsta = run_library_sta(
+        *netlist, linear ? *linear : *options.library, options.impl, lopts);
+    for (const MissingTiming& m : report.libsta->missing) {
+      sink.error("missing-timing",
+                 m.pin.empty()
+                     ? format("cell %s has no characterized timing for "
+                              "implementation %s",
+                              m.cell.c_str(), cells::impl_name(options.impl))
+                     : format("cell %s pin %s has no characterized %s arc",
+                              m.cell.c_str(), m.pin.c_str(),
+                              m.input_rise ? "rise" : "fall"),
+                 m.instance);
+    }
+    if (report.libsta->clamped_lookups > 0) {
+      sink.info("table-extrapolation",
+                format("%zu table lookups fell outside the characterization "
+                       "grid and were clamped to the grid edge",
+                       report.libsta->clamped_lookups));
+    }
+    report.sta = report.libsta->to_slack_result();
+    if (options.sta.clock_period > 0.0) {
       std::set<std::string> seen;
       for (const std::string& po : netlist->primary_outputs()) {
         if (!seen.insert(po).second) continue;

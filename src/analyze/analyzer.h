@@ -2,9 +2,12 @@
 //
 // Orchestrates the passes over one gate-level design:
 //   1. electrical rules (electrical.h)   — always; works on broken designs
-//   2. slack-based STA (sta.h)           — when the design satisfies the
-//      GateNetlist invariants; emits `timing-violation` findings for
-//      negative-slack endpoints when a clock period is configured
+//   2. slack-based STA (libsta.h)        — when the design satisfies the
+//      GateNetlist invariants: run_library_sta over the characterized
+//      library when one is given, else over linear_library(timing);
+//      emits `missing-timing` per instance whose cell/arc has no timing
+//      (the arc passes through at zero delay), and `timing-violation`
+//      for negative-slack endpoints when a clock period is configured
 //   3. tier/MIV placement rules (tier_rules.h) — when a placement mode is
 //      requested; places the block with place::Placer first
 // All findings flow through the shared diagnostics pipeline (pipeline.h):
@@ -18,7 +21,6 @@
 #include "analyze/design.h"
 #include "analyze/electrical.h"
 #include "analyze/libsta.h"
-#include "analyze/sta.h"
 #include "analyze/tier_rules.h"
 #include "gatelevel/sta.h"
 #include "place/placer.h"
@@ -34,18 +36,18 @@ struct AnalyzeOptions {
   bool run_electrical = true;
   // Tier/MIV rules run when a placement mode is set.
   std::optional<place::Mode> place_mode;
-  // Characterized NLDM library: when set, the timing pass runs the
-  // dual-edge library-backed STA (libsta.h) instead of the linear
-  // CellTiming model, and library holes / grid extrapolation surface as
-  // `missing-timing` / `table-extrapolation` diagnostics.
+  // Characterized NLDM library: when set, the timing pass looks every arc
+  // up here instead of in linear_library(timing).  Either way, holes and
+  // grid extrapolation surface as `missing-timing` /
+  // `table-extrapolation` diagnostics.
   const charlib::CharLibrary* library = nullptr;
 };
 
 struct AnalyzeReport {
   std::vector<lint::Diagnostic> findings;  // reporting order; sort to render
   std::optional<SlackStaResult> sta;
-  // Per-edge detail when the library-backed STA ran (`sta` holds its
-  // collapsed worst-edge view).
+  // Per-edge detail of the timing pass (`sta` holds its collapsed
+  // worst-edge view).
   std::optional<LibStaResult> libsta;
   std::optional<place::Placement> placement;
   std::size_t errors = 0;

@@ -300,9 +300,41 @@ SlackStaResult LibStaResult::to_slack_result() const {
   s.worst_slack = worst_slack;
   s.worst_endpoint = worst_endpoint;
   s.paths = paths;
-  // Per-edge arcs don't collapse losslessly into the single-edge ArcDelay
-  // list; s.arcs stays empty (no renderer consumes it).
   return s;
+}
+
+charlib::CharLibrary linear_library(const gatelevel::TimingModel& model) {
+  charlib::CharLibrary lib;
+  lib.slew_axis = {0.0, 1.0};
+  lib.load_axis = {0.0, 1.0};
+  for (const auto& [impl, per_cell] : model.cells) {
+    const auto slope_it = model.load_slope.find(impl);
+    if (slope_it == model.load_slope.end()) continue;
+    const double slope = slope_it->second;
+    for (const auto& [type, t] : per_cell) {
+      charlib::Table2D delay(lib.slew_axis, lib.load_axis);
+      charlib::Table2D out_slew(lib.slew_axis, lib.load_axis);
+      for (std::size_t i = 0; i < lib.slew_axis.size(); ++i) {
+        for (std::size_t j = 0; j < lib.load_axis.size(); ++j) {
+          const double dc = lib.load_axis[j] - model.c_ref;
+          delay.set(i, j,
+                    t.delay_ref + slope * dc + t.slew_sens * lib.slew_axis[i]);
+          out_slew.set(i, j, t.slew_ref + t.slew_slope * dc);
+        }
+      }
+      const charlib::Table2D energy(lib.slew_axis, lib.load_axis);
+      charlib::CellChar cell;
+      cell.type = type;
+      for (const std::string& pin : cells::cell_input_names(type)) {
+        cell.input_cap.emplace_back(pin, t.input_cap);
+        for (const bool rise : {true, false})
+          cell.arcs.push_back(
+              charlib::ArcTables{pin, rise, rise, delay, out_slew, energy});
+      }
+      lib.insert(impl, std::move(cell));
+    }
+  }
+  return lib;
 }
 
 }  // namespace mivtx::analyze

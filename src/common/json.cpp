@@ -9,6 +9,12 @@
 namespace mivtx {
 namespace {
 
+// Deepest array/object nesting accepted.  The parser recurses once per
+// level, so an unbounded depth would let one hostile line ("[[[[...")
+// overflow the stack; every document this project reads nests a handful
+// of levels.
+constexpr std::size_t kMaxDepth = 256;
+
 // Recursive-descent parser over a raw pointer range; positions are byte
 // offsets for error messages (the documents are short, no line tracking).
 class Parser {
@@ -55,9 +61,12 @@ class Parser {
   Json parse_value() {
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (++depth_ > kMaxDepth) fail("nesting too deep");
+        Json v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         return Json::string(parse_string());
       case 't':
@@ -186,6 +195,7 @@ class Parser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open arrays/objects around pos_
 };
 
 void escape_into(std::string& out, const std::string& s) {

@@ -43,30 +43,6 @@ gatelevel::TimingModel build_timing_model(const ModelLibrary& library,
   return model;
 }
 
-ChipPpa evaluate_chip(const gatelevel::GateNetlist& netlist,
-                      const gatelevel::TimingModel& timing,
-                      cells::Implementation impl,
-                      const layout::DesignRules& rules) {
-  ChipPpa out;
-  out.circuit = netlist.name();
-  out.impl = impl;
-  out.num_cells = netlist.instances().size();
-
-  const gatelevel::StaResult sta = gatelevel::run_sta(netlist, timing, impl);
-  out.critical_delay = sta.critical_delay;
-
-  const place::Placer placer(rules);
-  const place::Placement coupled =
-      placer.place(netlist, impl, place::Mode::kCoupled);
-  const place::Placement split =
-      placer.place(netlist, impl, place::Mode::kPerTier);
-  out.coupled_area = coupled.chip_area();
-  out.per_tier_area = split.chip_area();
-  out.per_tier_top_area = split.top.area();
-  out.per_tier_bottom_area = split.bottom.area();
-  return out;
-}
-
 std::vector<gatelevel::GateNetlist> benchmark_circuits() {
   std::vector<gatelevel::GateNetlist> out;
   out.push_back(gatelevel::ripple_carry_adder(8));

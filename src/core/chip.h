@@ -1,7 +1,9 @@
 // Chip-level extension: lift the cell-level PPA study to small benchmark
-// circuits via static timing analysis and two-tier placement.  This
-// implements the paper's future-work direction (separate per-tier
-// placement) end to end.
+// circuits.  This header supplies the measured linear timing model and the
+// circuit suite; the timing and two-tier placement run through
+// analyze::run_block_ppa over analyze::linear_library(model) (see
+// bench/bench_ext_chiplevel.cpp), which implements the paper's future-work
+// direction (separate per-tier placement) end to end.
 #pragma once
 
 #include <vector>
@@ -9,7 +11,6 @@
 #include "core/ppa.h"
 #include "gatelevel/netlist.h"
 #include "gatelevel/sta.h"
-#include "place/placer.h"
 
 namespace mivtx::core {
 
@@ -29,23 +30,6 @@ struct TimingModelOptions {
 gatelevel::TimingModel build_timing_model(const ModelLibrary& library,
                                           const PpaOptions& ppa_opts = {},
                                           const TimingModelOptions& opts = {});
-
-struct ChipPpa {
-  std::string circuit;
-  cells::Implementation impl = cells::Implementation::k2D;
-  std::size_t num_cells = 0;
-  double critical_delay = 0.0;       // s (STA)
-  double coupled_area = 0.0;         // m^2 (coupled placement outline)
-  double per_tier_area = 0.0;        // m^2 (independent tier placement)
-  double per_tier_top_area = 0.0;    // m^2
-  double per_tier_bottom_area = 0.0; // m^2
-};
-
-// STA + both placement modes for one circuit under one implementation.
-ChipPpa evaluate_chip(const gatelevel::GateNetlist& netlist,
-                      const gatelevel::TimingModel& timing,
-                      cells::Implementation impl,
-                      const layout::DesignRules& rules = {});
 
 // The benchmark circuit suite used by the chip-level benches.
 std::vector<gatelevel::GateNetlist> benchmark_circuits();

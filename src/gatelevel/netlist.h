@@ -1,8 +1,9 @@
 // Gate-level structural netlists built from the 14-cell library.
 //
 // Used by the chip-level extensions: static timing analysis over the
-// measured cell delays (gatelevel/sta.h) and the per-tier placement study
-// (src/place) that the paper's section IV sketches as future work.
+// measured cell delays (analyze/libsta.h, with the timing model in
+// gatelevel/sta.h) and the per-tier placement study (src/place) that the
+// paper's section IV sketches as future work.
 #pragma once
 
 #include <cstddef>

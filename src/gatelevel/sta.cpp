@@ -1,7 +1,5 @@
 #include "gatelevel/sta.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 
 namespace mivtx::gatelevel {
@@ -28,75 +26,6 @@ double StaLoadOptions::load_for_output(const std::string& net,
   const auto it = output_load.find(net);
   if (it != output_load.end()) return it->second;
   return default_output_load < 0.0 ? c_ref : default_output_load;
-}
-
-std::map<std::string, double> net_loads(const GateNetlist& netlist,
-                                        const TimingModel& model,
-                                        cells::Implementation impl,
-                                        const StaLoadOptions& loads) {
-  std::map<std::string, double> c;
-  for (const Instance& reader : netlist.instances()) {
-    const double cin = model.timing(impl, reader.type).input_cap;
-    for (const std::string& in : reader.inputs) c[in] += cin;
-  }
-  for (const std::string& po : netlist.primary_outputs()) {
-    c[po] += loads.load_for_output(po, model.c_ref);
-  }
-  for (const auto& [net, extra] : loads.extra_net_load) c[net] += extra;
-  return c;
-}
-
-StaResult run_sta(const GateNetlist& netlist, const TimingModel& model,
-                  cells::Implementation impl, const StaLoadOptions& loads) {
-  MIVTX_EXPECT(netlist.finalized(), "netlist not finalized");
-  StaResult out;
-  for (const std::string& in : netlist.primary_inputs()) {
-    out.arrival[in] = ArrivalInfo{0.0, ""};
-  }
-
-  const std::map<std::string, double> load = net_loads(netlist, model, impl,
-                                                       loads);
-  std::map<std::string, std::string> critical_driver;  // net -> instance
-  for (const std::size_t idx : netlist.topological_order()) {
-    const Instance& inst = netlist.instances()[idx];
-    double worst = 0.0;
-    std::string worst_net;
-    for (const std::string& in : inst.inputs) {
-      const auto it = out.arrival.find(in);
-      MIVTX_EXPECT(it != out.arrival.end(), "missing arrival for " + in);
-      if (it->second.time >= worst) {
-        worst = it->second.time;
-        worst_net = in;
-      }
-    }
-    const CellTiming& t = model.timing(impl, inst.type);
-    const auto load_it = load.find(inst.output);
-    const double c_out = load_it == load.end() ? 0.0 : load_it->second;
-    const double delay =
-        std::max(t.delay_ref + model.slope(impl) * (c_out - model.c_ref),
-                 0.0);
-    out.arrival[inst.output] = ArrivalInfo{worst + delay, worst_net};
-    critical_driver[inst.output] = inst.name;
-  }
-
-  // Worst primary output.
-  for (const std::string& po : netlist.primary_outputs()) {
-    const auto it = out.arrival.find(po);
-    MIVTX_EXPECT(it != out.arrival.end(), "primary output unresolved: " + po);
-    if (it->second.time >= out.critical_delay) {
-      out.critical_delay = it->second.time;
-      out.critical_output = po;
-    }
-  }
-
-  // Trace the critical path back through `critical_from`.
-  std::string net = out.critical_output;
-  while (!net.empty() && critical_driver.count(net)) {
-    out.critical_path.push_back(critical_driver.at(net));
-    net = out.arrival.at(net).critical_from;
-  }
-  std::reverse(out.critical_path.begin(), out.critical_path.end());
-  return out;
 }
 
 }  // namespace mivtx::gatelevel

@@ -1,28 +1,31 @@
-// Static timing analysis over the measured cell delays.
+// Linear gate-level timing model and the STA load configuration.
 //
-// The timing model is built from PPA measurements: each (cell, impl) gets
-// its nominal delay at the reference 1 fF load, an implementation-level
-// load-sensitivity slope (s/F), and a per-pin input capacitance estimated
-// from the compact model's gate charge.  Arrival time of an instance is
-//   max(arrival of inputs) + d0 + slope * (C_fanout - C_ref)
+// The timing model is built from PPA measurements
+// (core::build_timing_model) or synthesized (analyze::default_timing_model):
+// each (cell, impl) gets its nominal delay at the reference 1 fF load, an
+// implementation-level load-sensitivity slope (s/F), and a per-pin input
+// capacitance estimated from the compact model's gate charge.  An arc's
+// delay is
+//   d0 + slope * (C_fanout - C_ref) + slew_sens * input_slew
 // where C_fanout sums the input capacitances of the driven pins (primary
-// outputs count as one reference load each).
+// outputs count as one reference load each).  The STA itself is
+// analyze::run_library_sta over analyze::linear_library(model); the
+// liberty export and the electrical max-load-cap rule read the model
+// directly.
 #pragma once
 
 #include <map>
 #include <string>
-#include <vector>
 
 #include "cells/netgen.h"
-#include "gatelevel/netlist.h"
 
 namespace mivtx::gatelevel {
 
 struct CellTiming {
   double delay_ref = 0.0;  // s, at the reference load
   double input_cap = 0.0;  // F, per input pin (average)
-  // Slew model used by the slack-based analyzer (analyze/sta.h); the
-  // defaults degrade gracefully to the pure delay model above.
+  // Slew model; the zero defaults degrade gracefully to the pure delay
+  // model above.
   double slew_ref = 0.0;    // s, output transition at the reference load
   double slew_slope = 0.0;  // s/F, transition sensitivity to extra load
   double slew_sens = 0.0;   // extra delay per second of input transition
@@ -60,33 +63,5 @@ struct StaLoadOptions {
   // Effective load a primary output contributes.
   double load_for_output(const std::string& net, double c_ref) const;
 };
-
-struct ArrivalInfo {
-  double time = 0.0;          // s
-  std::string critical_from;  // driving net on the critical input
-};
-
-struct StaResult {
-  // Arrival time per net (primary inputs at 0).
-  std::map<std::string, ArrivalInfo> arrival;
-  // Worst primary-output arrival and the critical path to it, as a list of
-  // instance names from input to output.
-  double critical_delay = 0.0;
-  std::string critical_output;
-  std::vector<std::string> critical_path;
-};
-
-StaResult run_sta(const GateNetlist& netlist, const TimingModel& model,
-                  cells::Implementation impl,
-                  const StaLoadOptions& loads = {});
-
-// Capacitive load of every net in one sweep: driven pin input caps +
-// primary-output loads + any extra net load.  Shared by the arrival-only
-// STA above and the slack-based analyzer (analyze/sta.h) so both see
-// identical electricals (and neither pays the per-net instance scan).
-std::map<std::string, double> net_loads(const GateNetlist& netlist,
-                                        const TimingModel& model,
-                                        cells::Implementation impl,
-                                        const StaLoadOptions& loads);
 
 }  // namespace mivtx::gatelevel

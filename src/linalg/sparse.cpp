@@ -1,7 +1,6 @@
 #include "linalg/sparse.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.h"
 
@@ -85,125 +84,6 @@ double SparseMatrix::at(std::size_t r, std::size_t c) const {
   const auto it = std::lower_bound(first, last, c);
   if (it == last || *it != c) return 0.0;
   return values_[static_cast<std::size_t>(it - col_idx_.begin())];
-}
-
-Ilu0::Ilu0(const SparseMatrix& a)
-    : n_(a.rows()), row_ptr_(a.row_ptr()), col_idx_(a.col_idx()),
-      values_(a.values()) {
-  MIVTX_EXPECT(a.rows() == a.cols(), "ILU0 needs a square matrix");
-  diag_.assign(n_, static_cast<std::size_t>(-1));
-  for (std::size_t r = 0; r < n_; ++r) {
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      if (col_idx_[k] == r) diag_[r] = k;
-    }
-    MIVTX_EXPECT(diag_[r] != static_cast<std::size_t>(-1),
-                 "ILU0: zero diagonal pattern at row " + std::to_string(r));
-  }
-  // IKJ-variant ILU(0).
-  for (std::size_t i = 1; i < n_; ++i) {
-    for (std::size_t kk = row_ptr_[i]; kk < row_ptr_[i + 1]; ++kk) {
-      const std::size_t k = col_idx_[kk];
-      if (k >= i) break;
-      const double pivot = values_[diag_[k]];
-      MIVTX_EXPECT(pivot != 0.0, "ILU0: zero pivot");
-      const double f = values_[kk] / pivot;
-      values_[kk] = f;
-      // Update row i entries with columns > k that exist in the pattern.
-      for (std::size_t jj = diag_[k] + 1; jj < row_ptr_[k + 1]; ++jj) {
-        const std::size_t j = col_idx_[jj];
-        // Find (i, j) in row i.
-        for (std::size_t ii = kk + 1; ii < row_ptr_[i + 1]; ++ii) {
-          if (col_idx_[ii] == j) {
-            values_[ii] -= f * values_[jj];
-            break;
-          }
-          if (col_idx_[ii] > j) break;
-        }
-      }
-    }
-  }
-}
-
-Vector Ilu0::apply(const Vector& r) const {
-  MIVTX_EXPECT(r.size() == n_, "ILU0 apply: size mismatch");
-  Vector z = r;
-  // Forward solve L z = r (unit diagonal).
-  for (std::size_t i = 0; i < n_; ++i) {
-    double s = z[i];
-    for (std::size_t k = row_ptr_[i]; k < diag_[i]; ++k)
-      s -= values_[k] * z[col_idx_[k]];
-    z[i] = s;
-  }
-  // Backward solve U z = z.
-  for (std::size_t ii = n_; ii-- > 0;) {
-    double s = z[ii];
-    for (std::size_t k = diag_[ii] + 1; k < row_ptr_[ii + 1]; ++k)
-      s -= values_[k] * z[col_idx_[k]];
-    z[ii] = s / values_[diag_[ii]];
-  }
-  return z;
-}
-
-IterativeResult bicgstab(const SparseMatrix& a, const Vector& b, Vector& x,
-                         const Ilu0* precond, double tol,
-                         std::size_t max_iter) {
-  MIVTX_EXPECT(a.rows() == a.cols(), "bicgstab needs a square matrix");
-  MIVTX_EXPECT(b.size() == a.rows(), "bicgstab: rhs size mismatch");
-  if (x.size() != b.size()) x.assign(b.size(), 0.0);
-
-  IterativeResult result;
-  const double bnorm = std::max(norm2(b), 1e-300);
-  Vector r = sub(b, a.multiply(x));
-  Vector r0 = r;
-  double rho = 1.0, alpha = 1.0, omega = 1.0;
-  Vector v(b.size(), 0.0), p(b.size(), 0.0);
-
-  for (std::size_t it = 0; it < max_iter; ++it) {
-    const double rho_new = dot(r0, r);
-    if (std::fabs(rho_new) < 1e-300) break;  // breakdown
-    if (it == 0) {
-      p = r;
-    } else {
-      const double beta = (rho_new / rho) * (alpha / omega);
-      for (std::size_t i = 0; i < p.size(); ++i)
-        p[i] = r[i] + beta * (p[i] - omega * v[i]);
-    }
-    rho = rho_new;
-    const Vector phat = precond ? precond->apply(p) : p;
-    v = a.multiply(phat);
-    const double r0v = dot(r0, v);
-    if (std::fabs(r0v) < 1e-300) break;
-    alpha = rho / r0v;
-    Vector s = r;
-    axpy(-alpha, v, s);
-    if (norm2(s) / bnorm < tol) {
-      axpy(alpha, phat, x);
-      result.converged = true;
-      result.iterations = it + 1;
-      result.residual_norm = norm2(s) / bnorm;
-      return result;
-    }
-    const Vector shat = precond ? precond->apply(s) : s;
-    const Vector t = a.multiply(shat);
-    const double tt = dot(t, t);
-    if (tt < 1e-300) break;
-    omega = dot(t, s) / tt;
-    axpy(alpha, phat, x);
-    axpy(omega, shat, x);
-    r = s;
-    axpy(-omega, t, r);
-    const double rel = norm2(r) / bnorm;
-    result.iterations = it + 1;
-    result.residual_norm = rel;
-    if (rel < tol) {
-      result.converged = true;
-      return result;
-    }
-    if (std::fabs(omega) < 1e-300) break;
-  }
-  result.residual_norm = norm2(sub(b, a.multiply(x))) / bnorm;
-  result.converged = result.residual_norm < tol;
-  return result;
 }
 
 }  // namespace mivtx::linalg

@@ -1,8 +1,9 @@
-// Compressed-sparse-row matrix with a COO-style builder, Jacobi/ILU(0)
-// preconditioners and a BiCGSTAB solver.
+// Compressed-sparse-row matrix with a COO-style builder.
 //
 // Used for experimentation and cross-checking the banded TCAD solves; the
 // production paths prefer DenseLU (circuits) and BandedLU (device grids).
+// Iterative solves go through linalg/krylov.h (KrylovSolver over a CsrView
+// of row_ptr()/col_idx()/values()).
 #pragma once
 
 #include <cstddef>
@@ -56,30 +57,5 @@ class SparseMatrix {
   std::vector<std::size_t> col_idx_;
   std::vector<double> values_;
 };
-
-struct IterativeResult {
-  bool converged = false;
-  std::size_t iterations = 0;
-  double residual_norm = 0.0;
-};
-
-// ILU(0) preconditioner on the sparsity pattern of A (square only).
-class Ilu0 {
- public:
-  explicit Ilu0(const SparseMatrix& a);
-  // Solve (LU) z = r approximately.
-  Vector apply(const Vector& r) const;
-
- private:
-  std::size_t n_ = 0;
-  std::vector<std::size_t> row_ptr_, col_idx_;
-  std::vector<double> values_;
-  std::vector<std::size_t> diag_;
-};
-
-// Preconditioned BiCGSTAB; `precond` may be null for unpreconditioned runs.
-IterativeResult bicgstab(const SparseMatrix& a, const Vector& b, Vector& x,
-                         const Ilu0* precond, double tol = 1e-10,
-                         std::size_t max_iter = 1000);
 
 }  // namespace mivtx::linalg

@@ -25,6 +25,13 @@ sockaddr_in make_addr(const std::string& host, int port) {
   return addr;
 }
 
+// Request/response traffic is one small line each way; Nagle would hold a
+// response until the peer's delayed ACK (~40 ms) arrives.
+void set_nodelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+}
+
 }  // namespace
 
 Socket::~Socket() { close(); }
@@ -109,7 +116,10 @@ Listener::Listener(const std::string& host, int port) {
 Socket Listener::accept() {
   while (true) {
     const int fd = ::accept(fd_, nullptr, nullptr);
-    if (fd >= 0) return Socket(fd);
+    if (fd >= 0) {
+      set_nodelay(fd);
+      return Socket(fd);
+    }
     if (errno == EINTR) continue;
     return Socket();  // listener closed (or fatal error): stop accepting
   }
@@ -129,8 +139,7 @@ Socket connect_to(const std::string& host, int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   MIVTX_EXPECT(fd >= 0, "serve: socket() failed");
   Socket sock(fd);
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  set_nodelay(fd);
   sockaddr_in addr = make_addr(host, port);
   while (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                    sizeof addr) != 0) {

@@ -67,6 +67,7 @@ class Listener {
 
   int port() const { return port_; }
   // Blocking accept; an invalid Socket means the listener was closed.
+  // Accepted sockets have TCP_NODELAY set, like connect_to's.
   Socket accept();
   // Close the listening fd; wakes a blocked accept().
   void close();

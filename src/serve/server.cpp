@@ -26,8 +26,11 @@ std::string http_response(int code, const char* reason,
 }  // namespace
 
 bool Server::Connection::send_line(const std::string& line) {
+  // One write per response: a separate "\n" write would sit behind the
+  // client's delayed ACK whenever Nagle holds the second segment.
+  const std::string framed = line + '\n';
   std::lock_guard<std::mutex> lock(write_m);
-  return sock.write_all(line) && sock.write_all("\n");
+  return sock.write_all(framed);
 }
 
 Server::Server(ServerOptions opts)

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <optional>
 
+#include "analyze/libsta.h"
 #include "cells/netgen.h"
 #include "charlib/library.h"
 #include "common/error.h"
@@ -697,7 +698,8 @@ std::vector<double> random_axis(Rng& rng, std::size_t n) {
 PropertyResult check_charlib_bilinear(const PropertyOptions& opts) {
   // Bilinear lookup: exact at grid points, a convex combination of the
   // bounding corners between them (hence monotone over monotone tables),
-  // clamped-and-flagged beyond the hull.
+  // clamped-and-flagged beyond the hull; and analyze::linear_library
+  // reproduces the linear timing model it encodes.
   PropertyCheck check("charlib-bilinear", 1e-12);
   const std::size_t cases = opts.cases * 4;
   Rng rng(opts.seed ^ 0xcaab1eu);
@@ -766,7 +768,65 @@ PropertyResult check_charlib_bilinear(const PropertyOptions& opts) {
                   table.at(slews.size() - 1, loads.size() - 1)),
         format("case %zu: corner overflow not clamped to the corner", k));
   }
-  check.done(cases);
+
+  // linear_library: the linear CellTiming model encoded as 2x2 tables
+  // must reproduce the model's formula at any physical (slew, load), with
+  // no clamp, and every arc must be non-inverting.
+  Rng lin_rng(opts.seed ^ 0x1143a7u);
+  // Error relative to the terms' magnitude: the delay may cancel to ~0.
+  const auto rel = [](double got, double want, double scale) {
+    return std::fabs(got - want) / scale;
+  };
+  for (std::size_t k = 0; k < opts.cases; ++k) {
+    gatelevel::TimingModel model;
+    model.c_ref = lin_rng.uniform(0.5e-15, 2e-15);
+    const cells::Implementation impl =
+        cells::all_implementations()[lin_rng.uniform_index(4)];
+    model.load_slope[impl] = lin_rng.uniform(1e3, 5e4);
+    const cells::CellType type =
+        cells::all_cells()[lin_rng.uniform_index(cells::all_cells().size())];
+    gatelevel::CellTiming& t = model.cells[impl][type];
+    t.delay_ref = lin_rng.uniform(1e-12, 100e-12);
+    t.input_cap = lin_rng.uniform(0.05e-15, 2e-15);
+    t.slew_ref = lin_rng.uniform(1e-12, 100e-12);
+    t.slew_slope = lin_rng.uniform(1e3, 5e4);
+    t.slew_sens = lin_rng.uniform(0.0, 0.5);
+    const charlib::CharLibrary lib = analyze::linear_library(model);
+    const charlib::CellChar* cell = lib.find(impl, type);
+    check.expect(cell != nullptr && lib.num_cells() == 1,
+                 format("linear case %zu: cell entry missing", k));
+    if (cell == nullptr) continue;
+    for (const std::string& pin : cells::cell_input_names(type)) {
+      check.expect(cell->pin_cap(pin) == t.input_cap,
+                   format("linear case %zu: pin cap of %s", k, pin.c_str()));
+      for (const bool rise : {true, false}) {
+        const charlib::ArcTables* arc = cell->find_arc(pin, rise);
+        check.expect(arc != nullptr && arc->output_rise == rise,
+                     format("linear case %zu: arc %s missing or inverting", k,
+                            pin.c_str()));
+        if (arc == nullptr) continue;
+        for (std::size_t q = 0; q < 4; ++q) {
+          const double slew = lin_rng.uniform(0.0, 200e-12);
+          const double load = lin_rng.uniform(0.0, 50e-15);
+          const double dc = load - model.c_ref;
+          const double slope = model.load_slope[impl];
+          const charlib::LookupResult d = arc->delay.lookup(slew, load);
+          const charlib::LookupResult sl = arc->out_slew.lookup(slew, load);
+          check.expect_within(
+              rel(d.value, t.delay_ref + slope * dc + t.slew_sens * slew,
+                  t.delay_ref + std::fabs(slope * dc) + t.slew_sens * slew),
+              format("linear case %zu delay", k));
+          check.expect_within(
+              rel(sl.value, t.slew_ref + t.slew_slope * dc,
+                  t.slew_ref + std::fabs(t.slew_slope * dc)),
+              format("linear case %zu out_slew", k));
+          check.expect(!d.clamped() && !sl.clamped(),
+                       format("linear case %zu: physical query clamped", k));
+        }
+      }
+    }
+  }
+  check.done(cases + opts.cases);
   return check.result;
 }
 

@@ -23,7 +23,9 @@
 //   charlib-bilinear        NLDM table lookups: exact at grid points,
 //                           corner-hull bounded (hence monotone over
 //                           monotone tables) between them, clamped and
-//                           flagged beyond the hull
+//                           flagged beyond the hull; linear_library's
+//                           tables reproduce the linear timing model at
+//                           random physical (slew, load) without clamps
 //   mlib-roundtrip          randomized .mlib libraries reparse equal and
 //                           re-serialize byte-stably
 //

@@ -15,7 +15,6 @@
 #include "analyze/design.h"
 #include "analyze/electrical.h"
 #include "analyze/pipeline.h"
-#include "analyze/sta.h"
 #include "analyze/tier_rules.h"
 #include "bsimsoi/model.h"
 #include "cells/circuitgen.h"
@@ -373,18 +372,20 @@ TEST(Electrical, CleanDesignIsQuiet) {
 
 // --- Slack-based STA -------------------------------------------------------
 
-TEST(SlackSta, AgreesWithArrivalOnlySta) {
-  const gatelevel::GateNetlist n = gatelevel::ripple_carry_adder(8);
-  const gatelevel::TimingModel m = flat_timing(2.0);
-  const auto arrival =
-      gatelevel::run_sta(n, m, cells::Implementation::k2D);
-  const SlackStaResult slack =
-      run_slack_sta(n, m, cells::Implementation::k2D);
-  EXPECT_DOUBLE_EQ(slack.worst_arrival, arrival.critical_delay);
-  EXPECT_EQ(slack.worst_endpoint, arrival.critical_output);
-  // Relative analysis: worst slack is exactly zero, nothing is negative.
-  EXPECT_DOUBLE_EQ(slack.worst_slack, 0.0);
-  for (const auto& [net, t] : slack.nets) EXPECT_GE(t.slack, -1e-15) << net;
+// The analyzer's timing pass on a linear model: the library STA over
+// linear_library(m), collapsed to the single-edge view.
+SlackStaResult slack_sta(const gatelevel::GateNetlist& n,
+                         const gatelevel::TimingModel& m,
+                         const StaOptions& options = {}) {
+  LibStaOptions lopts;
+  lopts.loads = options.loads;
+  lopts.clock_period = options.clock_period;
+  lopts.input_slew = options.input_slew;
+  lopts.worst_paths = options.worst_paths;
+  lopts.c_ref = m.c_ref;
+  return run_library_sta(n, linear_library(m), cells::Implementation::k2D,
+                         lopts)
+      .to_slack_result();
 }
 
 TEST(SlackSta, ReconvergentFanoutSlacks) {
@@ -403,7 +404,7 @@ TEST(SlackSta, ReconvergentFanoutSlacks) {
     per_cell[cells::CellType::kXor2].delay_ref = 4.0;
     per_cell[cells::CellType::kNand2].delay_ref = 2.0;
   }
-  const SlackStaResult r = run_slack_sta(n, m, cells::Implementation::k2D);
+  const SlackStaResult r = slack_sta(n, m);
   EXPECT_DOUBLE_EQ(r.worst_arrival, 6.0);
   // Through the slow arc, `s` is critical: slack 0.  The direct a->u_join
   // arc has 4 units of margin, but net `a` also launches the critical
@@ -427,8 +428,7 @@ TEST(SlackSta, NonCriticalSideBranchHasPositiveSlack) {
   n.add_output("y");
   n.add_output("z");
   n.finalize();
-  const SlackStaResult r =
-      run_slack_sta(n, flat_timing(1.0), cells::Implementation::k2D);
+  const SlackStaResult r = slack_sta(n, flat_timing(1.0));
   EXPECT_DOUBLE_EQ(r.worst_arrival, 3.0);
   EXPECT_DOUBLE_EQ(r.nets.at("z").arrival, 1.0);
   EXPECT_DOUBLE_EQ(r.nets.at("z").slack, 2.0);
@@ -446,8 +446,7 @@ TEST(SlackSta, TieBreaksTowardSmallestDrivingNet) {
   n.add_instance(cells::CellType::kNand2, "u_join", {"q", "p"}, "y");
   n.add_output("y");
   n.finalize();
-  const SlackStaResult r =
-      run_slack_sta(n, flat_timing(1.0), cells::Implementation::k2D);
+  const SlackStaResult r = slack_sta(n, flat_timing(1.0));
   EXPECT_EQ(r.nets.at("y").critical_from, "p");
   ASSERT_FALSE(r.paths.empty());
   ASSERT_EQ(r.paths[0].points.size(), 3u);
@@ -463,8 +462,7 @@ TEST(SlackSta, ClockPeriodSetsRequiredTimes) {
   n.finalize();
   StaOptions opts;
   opts.clock_period = 1.5;  // arrival 2.0 -> slack -0.5
-  const SlackStaResult r =
-      run_slack_sta(n, flat_timing(1.0), cells::Implementation::k2D, opts);
+  const SlackStaResult r = slack_sta(n, flat_timing(1.0), opts);
   EXPECT_DOUBLE_EQ(r.nets.at("y").required, 1.5);
   EXPECT_DOUBLE_EQ(r.nets.at("y").slack, -0.5);
   EXPECT_DOUBLE_EQ(r.worst_slack, -0.5);
@@ -476,9 +474,11 @@ TEST(SlackSta, WorstPathsAreSortedAndBounded) {
   const gatelevel::GateNetlist n = gatelevel::ripple_carry_adder(8);
   StaOptions opts;
   opts.worst_paths = 3;
-  const SlackStaResult r =
-      run_slack_sta(n, flat_timing(1.0), cells::Implementation::k2D, opts);
+  const SlackStaResult r = slack_sta(n, flat_timing(1.0), opts);
   ASSERT_EQ(r.paths.size(), 3u);
+  // Relative analysis: the worst slack is zero and nothing is negative.
+  EXPECT_NEAR(r.worst_slack, 0.0, 1e-15);
+  for (const auto& [net, t] : r.nets) EXPECT_GE(t.slack, -1e-15) << net;
   EXPECT_LE(r.paths[0].slack, r.paths[1].slack);
   EXPECT_LE(r.paths[1].slack, r.paths[2].slack);
   EXPECT_EQ(r.paths[0].endpoint, r.worst_endpoint);
@@ -501,16 +501,14 @@ TEST(SlackSta, SlewPropagationAddsDelay) {
   n.finalize();
 
   gatelevel::TimingModel m = flat_timing(1.0);
-  const SlackStaResult crisp =
-      run_slack_sta(n, m, cells::Implementation::k2D);
+  const SlackStaResult crisp = slack_sta(n, m);
   for (auto& [impl, per_cell] : m.cells) {
     for (auto& [t, ct] : per_cell) {
       ct.slew_ref = 0.5;
       ct.slew_sens = 0.2;  // +0.2 delay per unit of input transition
     }
   }
-  const SlackStaResult slewed =
-      run_slack_sta(n, m, cells::Implementation::k2D);
+  const SlackStaResult slewed = slack_sta(n, m);
   // u1 sees the (zero) input slew; u2 sees u1's 0.5 output transition.
   EXPECT_DOUBLE_EQ(crisp.worst_arrival, 2.0);
   EXPECT_DOUBLE_EQ(slewed.worst_arrival, 2.0 + 0.2 * 0.5);
@@ -519,12 +517,11 @@ TEST(SlackSta, SlewPropagationAddsDelay) {
   // Input slew at the primary inputs feeds the first stage.
   StaOptions opts;
   opts.input_slew = 1.0;
-  const SlackStaResult driven =
-      run_slack_sta(n, m, cells::Implementation::k2D, opts);
+  const SlackStaResult driven = slack_sta(n, m, opts);
   EXPECT_DOUBLE_EQ(driven.worst_arrival, 2.0 + 0.2 * 1.0 + 0.2 * 0.5);
 }
 
-// --- Differential: slack STA vs transistor-level transient -----------------
+// --- Differential: linear-model STA vs transistor-level transient ----------
 
 namespace diff {
 
@@ -654,8 +651,7 @@ TEST(SlackSta, DifferentialAgainstTransientChain) {
   StaOptions opts;
   opts.loads.extra_net_load["x1"] = 1e-15;
   opts.loads.extra_net_load["x2"] = 1e-15;
-  const SlackStaResult sta =
-      run_slack_sta(n, m, cells::Implementation::k2D, opts);
+  const SlackStaResult sta = slack_sta(n, m, opts);
 
   // The load model is linear and the calibration single-edge; agreement
   // within 25 % demonstrates the slack STA tracks the physics.
@@ -1081,6 +1077,43 @@ TEST(Analyzer, DefaultTimingModelCoversEveryCell) {
             d(cells::Implementation::k2D));
   EXPECT_GT(d(cells::Implementation::kMiv4Channel),
             d(cells::Implementation::k2D));
+}
+
+TEST(Analyzer, TimingModelHolesEmitMissingTimingPerInstance) {
+  // A timing model without NAND2 for 2D: every NAND2 instance is a
+  // missing-timing error and passes its inputs through at zero delay, the
+  // same way a characterized library's holes do.
+  gatelevel::TimingModel m = default_timing_model();
+  m.cells[cells::Implementation::k2D].erase(cells::CellType::kNand2);
+  lint::DiagnosticSink sink;
+  const Design d = parse_design(
+      "design holes\ninput a\ninput b\noutput y\n"
+      "gate NAND2X1 u1 a b n1\ngate INV1X1 u2 n1 n2\n"
+      "gate NAND2X1 u3 n2 b y\n",
+      sink);
+  ASSERT_EQ(sink.num_errors(), 0u);
+  const AnalyzeReport report = analyze_design(d, m);
+
+  std::vector<std::string> holes;
+  for (const Diagnostic& diag : report.findings) {
+    EXPECT_NE(diag.rule, "sta-skipped");
+    if (diag.rule != "missing-timing") continue;
+    EXPECT_EQ(diag.severity, Severity::kError);
+    EXPECT_NE(diag.message.find("cell NAND2X1 has no characterized timing"),
+              std::string::npos)
+        << diag.message;
+    holes.push_back(diag.element);
+  }
+  EXPECT_EQ(holes, (std::vector<std::string>{"u1", "u3"}));
+  EXPECT_EQ(report.errors, 2u);
+  // The pass completes: only the INV contributes delay.
+  ASSERT_TRUE(report.sta.has_value());
+  const double inv =
+      default_timing_model()
+          .timing(cells::Implementation::k2D, cells::CellType::kInv1)
+          .delay_ref;
+  EXPECT_GT(report.sta->worst_arrival, 0.0);
+  EXPECT_LT(report.sta->worst_arrival, 2.0 * inv);
 }
 
 // --- Mutation decks: diagnose or pass, never crash -------------------------

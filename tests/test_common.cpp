@@ -1,10 +1,13 @@
-// Unit tests for src/common: strings, table formatting, RNG, error macros.
+// Unit tests for src/common: strings, table formatting, RNG, error macros,
+// JSON parser limits.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <set>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "common/table.h"
@@ -48,6 +51,12 @@ struct SpiceNumberCase {
   const char* text;
   double expected;
 };
+
+// Without this gtest prints the case as raw bytes, pointer included, and
+// the discovered ctest name changes with every load address.
+void PrintTo(const SpiceNumberCase& c, std::ostream* os) {
+  *os << '"' << c.text << '"';
+}
 
 class SpiceNumberTest : public ::testing::TestWithParam<SpiceNumberCase> {};
 
@@ -185,6 +194,42 @@ TEST(Rng, Bernoulli) {
   const int n = 10000;
   for (int i = 0; i < n; ++i) hits += rng.bernoulli(0.25);
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.25, 0.02);
+}
+
+// Nesting `depth` arrays deep: "[[...[]...]]".
+std::string nested_arrays(std::size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(Json, DeepNestingIsATypedErrorNotAStackOverflow) {
+  // 100k unclosed brackets would recurse 100k frames without the limit.
+  const std::string hostile(100000, '[');
+  try {
+    Json::parse(hostile);
+    FAIL() << "100k-deep nesting parsed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting too deep"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(Json::parse(nested_arrays(100000)), Error);
+  EXPECT_THROW(Json::parse("{\"a\":" + nested_arrays(300) + "}"), Error);
+}
+
+TEST(Json, NestingUpToTheLimitParses) {
+  const Json doc = Json::parse(nested_arrays(256));
+  const Json* level = &doc;
+  std::size_t depth = 1;
+  while (!level->items().empty()) {
+    level = &level->items().front();
+    ++depth;
+  }
+  EXPECT_EQ(depth, 256u);
+  EXPECT_THROW(Json::parse(nested_arrays(257)), Error);
+  // Closed siblings do not accumulate depth.
+  std::string wide = "[";
+  for (int i = 0; i < 1000; ++i) wide += (i ? "," : "") + nested_arrays(200);
+  EXPECT_NO_THROW(Json::parse(wide + "]"));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 
 #include "common/dual.h"
 
@@ -22,6 +23,12 @@ struct UnaryCase {
   std::function<double(double)> plain_fn;
   double x;
 };
+
+// Without this gtest prints the case as raw bytes, pointers included, and
+// the discovered ctest name changes with every load address.
+void PrintTo(const UnaryCase& c, std::ostream* os) {
+  *os << c.name << '(' << c.x << ')';
+}
 
 class DualUnaryTest : public ::testing::TestWithParam<UnaryCase> {};
 

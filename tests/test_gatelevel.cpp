@@ -1,8 +1,10 @@
 // Gate-level netlists: construction invariants, generator correctness
 // (checked against arithmetic/boolean references over exhaustive or random
-// vectors), and static timing analysis.
+// vectors), and static timing analysis over the linear timing model (the
+// library STA on analyze::linear_library).
 #include <gtest/gtest.h>
 
+#include "analyze/libsta.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/strings.h"
@@ -181,6 +183,30 @@ TimingModel unit_timing(double inv = 1.0, double nand2 = 2.0,
   return m;
 }
 
+// Worst primary-output arrival, its endpoint and critical path (instance
+// names, launch to endpoint) of the 2D implementation.
+struct Critical {
+  double delay = 0.0;
+  std::string output;
+  std::vector<std::string> path;
+  std::vector<analyze::MissingTiming> missing;
+};
+
+Critical linear_sta(const GateNetlist& n, const TimingModel& m,
+                 const StaLoadOptions& loads = {}) {
+  analyze::LibStaOptions opts;
+  opts.loads = loads;
+  opts.c_ref = m.c_ref;
+  opts.input_slew = 0.0;
+  const analyze::LibStaResult r = analyze::run_library_sta(
+      n, analyze::linear_library(m), cells::Implementation::k2D, opts);
+  Critical out{r.worst_arrival, r.worst_endpoint, {}, r.missing};
+  if (!r.paths.empty())
+    for (const analyze::PathPoint& p : r.paths.front().points)
+      if (!p.instance.empty()) out.path.push_back(p.instance);
+  return out;
+}
+
 TEST(Sta, ChainDelayAdds) {
   GateNetlist n("chain");
   n.add_input("a");
@@ -189,11 +215,11 @@ TEST(Sta, ChainDelayAdds) {
   n.add_instance(cells::CellType::kInv1, "u3", {"x2"}, "x3");
   n.add_output("x3");
   n.finalize();
-  const StaResult r = run_sta(n, unit_timing(), cells::Implementation::k2D);
-  EXPECT_DOUBLE_EQ(r.critical_delay, 3.0);
-  ASSERT_EQ(r.critical_path.size(), 3u);
-  EXPECT_EQ(r.critical_path.front(), "u1");
-  EXPECT_EQ(r.critical_path.back(), "u3");
+  const Critical r = linear_sta(n, unit_timing());
+  EXPECT_DOUBLE_EQ(r.delay, 3.0);
+  ASSERT_EQ(r.path.size(), 3u);
+  EXPECT_EQ(r.path.front(), "u1");
+  EXPECT_EQ(r.path.back(), "u3");
 }
 
 TEST(Sta, PicksSlowestBranch) {
@@ -206,10 +232,10 @@ TEST(Sta, PicksSlowestBranch) {
   n.add_instance(cells::CellType::kNand2, "u_join", {"f", "s"}, "y");
   n.add_output("y");
   n.finalize();
-  const StaResult r = run_sta(n, unit_timing(), cells::Implementation::k2D);
-  EXPECT_DOUBLE_EQ(r.critical_delay, 4.0 + 2.0);
-  ASSERT_GE(r.critical_path.size(), 2u);
-  EXPECT_EQ(r.critical_path[0], "u_slow");
+  const Critical r = linear_sta(n, unit_timing());
+  EXPECT_DOUBLE_EQ(r.delay, 4.0 + 2.0);
+  ASSERT_GE(r.path.size(), 2u);
+  EXPECT_EQ(r.path[0], "u_slow");
 }
 
 TEST(Sta, LoadSlopePenalizesFanout) {
@@ -229,10 +255,10 @@ TEST(Sta, LoadSlopePenalizesFanout) {
     for (auto& [t, ct] : per_cell) ct.input_cap = 0.5e-15;
   }
   for (auto& [impl, s] : m.load_slope) s = 1.0e15;  // 1 unit per fF
-  const StaResult r = run_sta(n, m, cells::Implementation::k2D);
+  const Critical r = linear_sta(n, m);
   // u_drv: 1.0 + 1e15 * (2 fF - 1 fF) = 2.0; leaves: 1.0 + 1e15*(1fF-1fF)
   // (each leaf drives one primary output = c_ref).
-  EXPECT_NEAR(r.critical_delay, 3.0, 1e-9);
+  EXPECT_NEAR(r.delay, 3.0, 1e-9);
 }
 
 TEST(Generators, AluBlockMatchesArithmeticReference) {
@@ -284,10 +310,10 @@ TEST(Sta, EmptyNetlistHasZeroDelay) {
   n.add_input("a");
   n.add_output("a");
   n.finalize();
-  const StaResult r = run_sta(n, unit_timing(), cells::Implementation::k2D);
-  EXPECT_DOUBLE_EQ(r.critical_delay, 0.0);
-  EXPECT_EQ(r.critical_output, "a");
-  EXPECT_TRUE(r.critical_path.empty());
+  const Critical r = linear_sta(n, unit_timing());
+  EXPECT_DOUBLE_EQ(r.delay, 0.0);
+  EXPECT_EQ(r.output, "a");
+  EXPECT_TRUE(r.path.empty());
 }
 
 TEST(Sta, PerOutputLoadOverridesApply) {
@@ -300,17 +326,14 @@ TEST(Sta, PerOutputLoadOverridesApply) {
   for (auto& [impl, s] : m.load_slope) s = 1.0e15;  // 1 delay unit per fF
 
   // Default: one reference load per output -> no load penalty.
-  EXPECT_NEAR(run_sta(n, m, cells::Implementation::k2D).critical_delay, 1.0,
-              1e-12);
+  EXPECT_NEAR(linear_sta(n, m).delay, 1.0, 1e-12);
   // Global default-output-load override: 3 fF -> +2 units.
   StaLoadOptions loads;
   loads.default_output_load = 3e-15;
-  EXPECT_NEAR(run_sta(n, m, cells::Implementation::k2D, loads).critical_delay,
-              3.0, 1e-12);
+  EXPECT_NEAR(linear_sta(n, m, loads).delay, 3.0, 1e-12);
   // Per-output override beats the default.
   loads.output_load["y"] = 2e-15;
-  EXPECT_NEAR(run_sta(n, m, cells::Implementation::k2D, loads).critical_delay,
-              2.0, 1e-12);
+  EXPECT_NEAR(linear_sta(n, m, loads).delay, 2.0, 1e-12);
 }
 
 TEST(Sta, ZeroSlopeIgnoresLoadOptions) {
@@ -323,8 +346,7 @@ TEST(Sta, ZeroSlopeIgnoresLoadOptions) {
   StaLoadOptions loads;
   loads.output_load["y"] = 100e-15;
   loads.extra_net_load["y"] = 100e-15;
-  EXPECT_DOUBLE_EQ(
-      run_sta(n, m, cells::Implementation::k2D, loads).critical_delay, 1.0);
+  EXPECT_DOUBLE_EQ(linear_sta(n, m, loads).delay, 1.0);
 }
 
 TEST(Sta, ExtraNetLoadAddsWireDelay) {
@@ -340,27 +362,31 @@ TEST(Sta, ExtraNetLoadAddsWireDelay) {
   }
   for (auto& [impl, s] : m.load_slope) s = 1.0e15;
   // Baseline: u1 sees u2's 1 fF pin (= c_ref), u2 one reference load.
-  EXPECT_NEAR(run_sta(n, m, cells::Implementation::k2D).critical_delay, 2.0,
-              1e-12);
+  EXPECT_NEAR(linear_sta(n, m).delay, 2.0, 1e-12);
   // 1 fF of wire load on the internal net adds one unit to u1 only.
   StaLoadOptions loads;
   loads.extra_net_load["x"] = 1e-15;
-  EXPECT_NEAR(run_sta(n, m, cells::Implementation::k2D, loads).critical_delay,
-              3.0, 1e-12);
-  // net_loads reports the same electricals the STA used.
-  const auto nl = net_loads(n, m, cells::Implementation::k2D, loads);
-  EXPECT_NEAR(nl.at("x"), 2e-15, 1e-27);
-  EXPECT_NEAR(nl.at("y"), 1e-15, 1e-27);
+  EXPECT_NEAR(linear_sta(n, m, loads).delay, 3.0, 1e-12);
 }
 
-TEST(Sta, MissingTimingThrows) {
+TEST(Sta, MissingTimingIsRecorded) {
   GateNetlist n("t");
   n.add_input("a");
   n.add_instance(cells::CellType::kInv1, "u1", {"a"}, "y");
   n.add_output("y");
   n.finalize();
-  const TimingModel empty;
-  EXPECT_THROW(run_sta(n, empty, cells::Implementation::k2D), mivtx::Error);
+  // A hole is a typed record and a zero-delay passthrough, never a throw.
+  const Critical r = linear_sta(n, TimingModel{});
+  ASSERT_EQ(r.missing.size(), 1u);
+  EXPECT_EQ(r.missing[0].instance, "u1");
+  EXPECT_EQ(r.missing[0].cell, "INV1X1");
+  EXPECT_TRUE(r.missing[0].pin.empty());  // the whole (impl, cell) entry
+  EXPECT_DOUBLE_EQ(r.delay, 0.0);
+  EXPECT_EQ(r.output, "y");
+  // An implementation without a load slope is a hole too.
+  TimingModel no_slope = unit_timing();
+  no_slope.load_slope.erase(cells::Implementation::k2D);
+  EXPECT_EQ(linear_sta(n, no_slope).missing.size(), 1u);
 }
 
 }  // namespace

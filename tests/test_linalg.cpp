@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "linalg/banded.h"
 #include "linalg/dense.h"
+#include "linalg/krylov.h"
 #include "linalg/sparse.h"
 #include "linalg/vector_ops.h"
 
@@ -183,6 +184,11 @@ TEST(Sparse, CancellingDuplicatesDropped) {
   EXPECT_EQ(m.num_nonzeros(), 2u);
 }
 
+// CsrView over a SparseMatrix's compressed arrays (the Krylov tier's input).
+CsrView csr_view(const SparseMatrix& a) {
+  return CsrView{a.rows(), &a.row_ptr(), &a.col_idx(), &a.values()};
+}
+
 TEST(Sparse, BicgstabSolvesSpdSystem) {
   // 1-D Laplacian, n = 50.
   const std::size_t n = 50;
@@ -193,10 +199,15 @@ TEST(Sparse, BicgstabSolvesSpdSystem) {
     if (i + 1 < n) sb.add(i, i + 1, -1.0);
   }
   const SparseMatrix a(sb);
-  Vector b(n, 1.0);
-  Vector x;
-  const IterativeResult r = bicgstab(a, b, x, nullptr, 1e-12, 500);
-  EXPECT_TRUE(r.converged);
+  const Vector b(n, 1.0);
+  Vector x(n, 0.0);
+  IterativeOptions opts;
+  opts.rtol = 1e-12;
+  opts.max_iterations = 500;
+  KrylovSolver solver;
+  const IterativeResult r =
+      solver.bicgstab(csr_view(a), nullptr, b, x, opts);
+  EXPECT_TRUE(r.ok()) << to_string(r.outcome);
   EXPECT_LT(norm_inf(sub(a.multiply(x), b)), 1e-8);
 }
 
@@ -215,12 +226,19 @@ TEST(Sparse, Ilu0PreconditioningReducesIterations) {
   Vector b(n);
   for (auto& v : b) v = rng.uniform(-1, 1);
 
-  Vector x0, x1;
-  const IterativeResult plain = bicgstab(a, b, x0, nullptr, 1e-10, 2000);
-  const Ilu0 precond(a);
-  const IterativeResult pc = bicgstab(a, b, x1, &precond, 1e-10, 2000);
-  ASSERT_TRUE(plain.converged);
-  ASSERT_TRUE(pc.converged);
+  IterativeOptions opts;
+  opts.max_iterations = 2000;
+  KrylovSolver solver;
+  Vector x0(n, 0.0), x1(n, 0.0);
+  const IterativeResult plain =
+      solver.bicgstab(csr_view(a), nullptr, b, x0, opts);
+  Ilu0Preconditioner precond;
+  precond.analyze(n, a.row_ptr(), a.col_idx());
+  ASSERT_TRUE(precond.factorize(a.values()));
+  const IterativeResult pc =
+      solver.bicgstab(csr_view(a), &precond, b, x1, opts);
+  ASSERT_TRUE(plain.ok()) << to_string(plain.outcome);
+  ASSERT_TRUE(pc.ok()) << to_string(pc.outcome);
   EXPECT_LT(pc.iterations, plain.iterations);
   EXPECT_LT(norm_inf(sub(a.multiply(x1), b)), 1e-7);
 }

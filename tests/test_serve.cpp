@@ -14,6 +14,9 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include "charlib/characterize.h"
 #include "charlib/library.h"
@@ -25,6 +28,7 @@
 #include "runtime/metrics.h"
 #include "serve/client.h"
 #include "serve/coalesce.h"
+#include "serve/net.h"
 #include "serve/server.h"
 #include "temp_dir.h"
 
@@ -290,6 +294,57 @@ TEST(ServeServer, HealthMetricsAndHttpProbes) {
   const serve::Response bad_resp = serve::Response::from_json_line(*bad_line);
   EXPECT_EQ(bad_resp.status, serve::ResponseStatus::kError);
   EXPECT_NE(bad_resp.error.find("gird_n"), std::string::npos);
+
+  server.begin_shutdown();
+  server.wait();
+}
+
+TEST(ServeNet, AcceptedSocketsDisableNagle) {
+  // Without TCP_NODELAY on the daemon's side, Nagle holds each response
+  // until the client's delayed ACK: ~40 ms per round trip.
+  serve::Listener listener("127.0.0.1", 0);
+  serve::Socket client = serve::connect_to("127.0.0.1", listener.port());
+  const serve::Socket accepted = listener.accept();
+  ASSERT_TRUE(accepted.valid());
+  const serve::Socket* ends[] = {&accepted, &client};
+  for (const serve::Socket* sock : ends) {
+    int flag = 0;
+    socklen_t len = sizeof flag;
+    ASSERT_EQ(::getsockopt(sock->fd(), IPPROTO_TCP, TCP_NODELAY, &flag, &len),
+              0);
+    EXPECT_NE(flag, 0);
+  }
+}
+
+TEST(ServeServer, DeepNestingIsATypedErrorAndTheConnectionSurvives) {
+  serve::ServerOptions opts;
+  opts.port = 0;
+  opts.workers = 1;
+  serve::Server server(opts);
+  server.start();
+
+  serve::Socket sock = serve::connect_to("127.0.0.1", server.port());
+  serve::LineReader reader(sock.fd());
+  // One request line of 10^6 '[': the recursive parser must refuse it at
+  // its depth limit instead of overflowing the daemon's stack.
+  ASSERT_TRUE(sock.write_all(std::string(1000000, '[') + "\n"));
+  const auto bad_line = reader.read_line();
+  ASSERT_TRUE(bad_line.has_value());
+  const serve::Response bad = serve::Response::from_json_line(*bad_line);
+  EXPECT_EQ(bad.status, serve::ResponseStatus::kError);
+  EXPECT_NE(bad.error.find("nesting too deep"), std::string::npos)
+      << bad.error;
+
+  // The same connection still serves the next request.
+  serve::Request health;
+  health.kind = serve::RequestKind::kHealth;
+  health.id = "after";
+  ASSERT_TRUE(sock.write_all(health.to_json_line() + "\n"));
+  const auto ok_line = reader.read_line();
+  ASSERT_TRUE(ok_line.has_value());
+  const serve::Response ok = serve::Response::from_json_line(*ok_line);
+  EXPECT_TRUE(ok.ok()) << ok.error;
+  EXPECT_EQ(ok.id, "after");
 
   server.begin_shutdown();
   server.wait();
