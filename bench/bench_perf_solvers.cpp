@@ -131,7 +131,8 @@ spice::Circuit make_inverter_chain(int stages) {
   spice::NodeId prev = ckt.node("in");
   ckt.add_vsource("VIN", prev, spice::kGround, spice::SourceSpec::Pulse(p));
   for (int i = 0; i < stages; ++i) {
-    const spice::NodeId out = ckt.node("n" + std::to_string(i));
+    const spice::NodeId out =
+        ckt.node(std::string("n").append(std::to_string(i)));
     ckt.add_mosfet("MN" + std::to_string(i), out, prev, spice::kGround, nch);
     ckt.add_mosfet("MP" + std::to_string(i), out, prev, vdd, pch);
     prev = out;
@@ -170,26 +171,13 @@ spice::Circuit make_std_cell(cells::CellType type) {
   cells::ModelSet models;
   models.nmos = lib.card(core::Variant::kTraditional, core::Polarity::kNmos);
   models.pmos = lib.card(core::Variant::kTraditional, core::Polarity::kPmos);
+  core::PpaOptions probe;
+  probe.t_delay = 100e-12;
+  probe.t_width = 300e-12;
   cells::CellNetlist cell = cells::build_cell(
-      type, cells::Implementation::k2D, models, cells::ParasiticSpec{}, 1.0);
-  const std::vector<std::string> inputs = cells::cell_input_names(type);
-  const auto side = core::PpaEngine::sensitize(type, 0);
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    spice::Element& src = cell.circuit.element("V" + inputs[i]);
-    if (i == 0) {
-      spice::PulseSpec p;
-      p.v1 = 0.0;
-      p.v2 = 1.0;
-      p.delay = 100e-12;
-      p.rise = 20e-12;
-      p.fall = 20e-12;
-      p.width = 300e-12;
-      src.source = spice::SourceSpec::Pulse(p);
-    } else {
-      src.source =
-          spice::SourceSpec::DC(side.has_value() && (*side)[i] ? 1.0 : 0.0);
-    }
-  }
+      type, cells::Implementation::k2D, models, probe.parasitics, probe.vdd);
+  core::apply_pin_stimulus(cell, 0, *core::PpaEngine::sensitize(type, 0),
+                           probe);
   return cell.circuit;
 }
 

@@ -11,6 +11,7 @@
 #include "common/strings.h"
 #include "common/table.h"
 #include "core/flow.h"
+#include "core/ppa.h"
 #include "core/reference_cards.h"
 #include "spice/transient.h"
 #include "waveform/measure.h"
@@ -58,14 +59,9 @@ int main() {
 
   // --- Transient -------------------------------------------------------------
   std::printf("\n== 4. Transient: pulse on A, waveforms at the output ==\n");
-  spice::PulseSpec pu;
-  pu.v1 = 0.0;
-  pu.v2 = proc.vdd;
-  pu.delay = 200e-12;
-  pu.rise = 20e-12;
-  pu.fall = 20e-12;
-  pu.width = 500e-12;
-  cell.circuit.element("VA").source = spice::SourceSpec::Pulse(pu);
+  core::PpaOptions probe;  // 20 ps edges, 200 ps delay, 500 ps width
+  probe.vdd = proc.vdd;
+  core::apply_pin_stimulus(cell, 0, {false}, probe);
   spice::TransientOptions topt;
   topt.t_stop = 1.4e-9;
   topt.h_max = 10e-12;

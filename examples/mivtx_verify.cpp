@@ -58,7 +58,7 @@ int usage(const char* argv0) {
       << "  --seed S            property RNG seed (default 20230913)\n"
       << "  --cases N           property instances per check (default 12)\n"
       << "  --golden-dir DIR    baseline directory (default tests/golden)\n"
-      << "  --suites a,b        golden suites (default: all five)\n"
+      << "  --suites a,b        golden suites (default: all six)\n"
       << "  --refresh-goldens   write baselines instead of checking them\n"
       << "  --git-sha SHA       provenance stamp for refreshed baselines\n"
       << "  --json              machine-readable report on stdout\n"

@@ -39,9 +39,9 @@ std::optional<bool> worst_edge(const LibNetTiming& t) {
       continue;
     }
     const EdgeTiming& bt = t.edge(*best);
-    const double s = et.required - et.arrival;
-    const double bs = bt.required - bt.arrival;
-    if (s < bs || (s == bs && et.arrival > bt.arrival)) best = e;
+    if (et.slack < bt.slack ||
+        (et.slack == bt.slack && et.arrival > bt.arrival))
+      best = e;
   }
   return best;
 }
@@ -81,7 +81,7 @@ LibStaResult run_library_sta(const gatelevel::GateNetlist& netlist,
       EdgeTiming& et = edge_of(t, e);
       et.arrival = 0.0;
       et.slew = options.input_slew;
-      et.required = kInf;
+      et.required = et.slack = kInf;
     }
     out.nets.emplace(in, t);
   }
@@ -100,6 +100,7 @@ LibStaResult run_library_sta(const gatelevel::GateNetlist& netlist,
     result.driver = inst.name;
     result.rise.arrival = result.fall.arrival = -kInf;
     result.rise.required = result.fall.required = kInf;
+    result.rise.slack = result.fall.slack = kInf;
     const std::size_t arcs_before = arcs.size();
     double inst_energy = 0.0;
     std::size_t inst_energy_n = 0;
@@ -197,13 +198,20 @@ LibStaResult run_library_sta(const gatelevel::GateNetlist& netlist,
     }
   }
 
-  // --- Backward pass: per-edge required times --------------------------------
+  // --- Backward pass: per-edge required times and slacks ---------------------
+  // An arc passes slack back as slack_out + (arrival_out - (arrival_in +
+  // delay)).  The bracket is exactly 0 on the arc that set arrival_out, so
+  // a critical path keeps its endpoint's slack bit for bit instead of
+  // picking up the rounding of (T - sum of delays) - arrival.
   const double t_req =
       options.clock_period > 0.0 ? options.clock_period : out.worst_arrival;
   for (const std::string& po : netlist.primary_outputs()) {
     LibNetTiming& t = out.nets.at(po);
-    t.rise.required = std::min(t.rise.required, t_req);
-    t.fall.required = std::min(t.fall.required, t_req);
+    for (const bool e : {true, false}) {
+      EdgeTiming& et = edge_of(t, e);
+      et.required = std::min(et.required, t_req);
+      et.slack = std::min(et.slack, t_req - et.arrival);
+    }
   }
   const auto& topo = netlist.topological_order();
   std::size_t arc_cursor = arcs.size();
@@ -213,9 +221,12 @@ LibStaResult run_library_sta(const gatelevel::GateNetlist& netlist,
     const LibNetTiming& out_t = out.nets.at(inst.output);
     for (std::size_t i = 0; i < arc_counts[v]; ++i) {
       const EdgeArc& arc = arcs[arc_cursor + i];
-      const double req_out = out_t.edge(arc.out_rise).required;
+      const EdgeTiming& out_e = out_t.edge(arc.out_rise);
       EdgeTiming& in_e = edge_of(out.nets.at(arc.from_net), arc.in_rise);
-      in_e.required = std::min(in_e.required, req_out - arc.delay);
+      in_e.required = std::min(in_e.required, out_e.required - arc.delay);
+      in_e.slack =
+          std::min(in_e.slack, out_e.slack + (out_e.arrival -
+                                              (in_e.arrival + arc.delay)));
     }
   }
   MIVTX_EXPECT(arc_cursor == 0, "arc bookkeeping out of sync");
@@ -226,7 +237,7 @@ LibStaResult run_library_sta(const gatelevel::GateNetlist& netlist,
     double s = kInf;
     for (const bool e : {true, false}) {
       const EdgeTiming& et = t.edge(e);
-      if (et.valid()) s = std::min(s, et.required - et.arrival);
+      if (et.valid()) s = std::min(s, et.slack);
     }
     t.slack = s;
     out.worst_slack = std::min(out.worst_slack, s);

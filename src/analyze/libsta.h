@@ -115,6 +115,9 @@ struct EdgeTiming {
   double arrival = 0.0;   // s; -inf when this edge never arrives
   double slew = 0.0;      // s, equivalent full-swing ramp
   double required = 0.0;  // s; +inf when unconstrained
+  // s; required - arrival, carried backward arc by arc so that exactly
+  // tied critical paths read exactly 0; +inf when unconstrained.
+  double slack = 0.0;
   std::string critical_from;    // driving net of the winning arc ("" = PI)
   bool critical_from_rise = true;  // input edge of the winning arc
   bool valid() const;  // arrival is finite

@@ -97,6 +97,15 @@ spice::NodeId instantiate_gate(spice::Circuit& ckt, const std::string& prefix,
   return out;
 }
 
+// `prefix` followed by the decimal `index`.  Appending, rather than
+// `"x" + std::to_string(i)`, keeps GCC 12 at -O3 from flagging the rvalue
+// operator+ with a false -Wrestrict.
+std::string indexed(const char* prefix, std::size_t index) {
+  std::string name(prefix);
+  name += std::to_string(index);
+  return name;
+}
+
 // "M" element names must be unique circuit-wide; instantiate_gate derives
 // them from the prefix, so prefixes are kept distinct by construction.
 std::string bit_prefix(const char* gate, std::size_t bit) {
@@ -155,7 +164,7 @@ GeneratedCircuit build_ring_oscillator(std::size_t stages, Implementation impl,
     ckt.add_isource("Ikick", ckt.node("y0"), spice::kGround,
                     spice::SourceSpec::Pulse(p));
   }
-  gen.probe_node = "y" + std::to_string(stages - 1);
+  gen.probe_node = indexed("y", stages - 1);
   return gen;
 }
 
@@ -242,11 +251,11 @@ GeneratedCircuit build_adder_array(std::size_t bits, Implementation impl,
         "c",
         instantiate_gate(ckt, bit_prefix("d3", i), CellType::kNand2, impl,
                          models, parasitics, {n1, n2}, vddi, gndi),
-        "c" + std::to_string(i + 1));
+        indexed("c", i + 1));
     ckt.add_capacitor("Cls" + si, sum, spice::kGround, parasitics.c_load);
   }
   ckt.add_capacitor("Clc", carry, spice::kGround, parasitics.c_load);
-  gen.probe_node = "s" + std::to_string(bits - 1);
+  gen.probe_node = indexed("s", bits - 1);
   return gen;
 }
 
@@ -307,7 +316,7 @@ GeneratedCircuit build_gate_chain(const GateChainSpec& spec,
     const spice::NodeId y =
         instantiate_gate(ckt, "s" + si, type, impl, models, parasitics,
                          inputs, rails.vddi, rails.gndi);
-    const spice::NodeId net = ckt.node("x" + std::to_string(i + 1));
+    const spice::NodeId net = ckt.node(indexed("x", i + 1));
     ckt.add_resistor("Rw" + si, y, net, parasitics.r_wire);
     const double c_load =
         spec.stage_loads.empty() ? parasitics.c_load : spec.stage_loads[i];
@@ -322,7 +331,7 @@ GeneratedCircuit build_gate_chain(const GateChainSpec& spec,
     }
     x = net;
   }
-  gen.probe_node = "x" + std::to_string(spec.stages.size());
+  gen.probe_node = indexed("x", spec.stages.size());
   return gen;
 }
 
@@ -336,7 +345,10 @@ GeneratedCircuit build_power_grid(const PowerGridSpec& spec) {
   spice::Circuit& ckt = gen.circuit;
 
   auto node_name = [&](std::size_t r, std::size_t c) {
-    return "n" + std::to_string(r) + "_" + std::to_string(c);
+    std::string name = indexed("n", r);
+    name += '_';
+    name += std::to_string(c);
+    return name;
   };
   auto at = [&](std::size_t r, std::size_t c) {
     return ckt.node(node_name(r, c));
@@ -345,7 +357,9 @@ GeneratedCircuit build_power_grid(const PowerGridSpec& spec) {
   for (std::size_t r = 0; r < spec.rows; ++r) {
     for (std::size_t c = 0; c < spec.cols; ++c) {
       const spice::NodeId n = at(r, c);
-      const std::string rc = std::to_string(r) + "_" + std::to_string(c);
+      std::string rc = std::to_string(r);
+      rc += '_';
+      rc += std::to_string(c);
       if (c + 1 < spec.cols)
         ckt.add_resistor("Rh" + rc, n, at(r, c + 1), spec.r_seg);
       if (r + 1 < spec.rows)

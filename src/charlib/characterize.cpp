@@ -1,7 +1,6 @@
 #include "charlib/characterize.h"
 
 #include <cmath>
-#include <optional>
 
 #include "bsimsoi/model.h"
 #include "cells/topology.h"
@@ -12,9 +11,7 @@
 #include "core/artifacts.h"
 #include "runtime/metrics.h"
 #include "runtime/thread_pool.h"
-#include "spice/transient.h"
 #include "trace/trace.h"
-#include "waveform/measure.h"
 
 namespace mivtx::charlib {
 
@@ -23,13 +20,6 @@ namespace {
 // Bump when the characterization procedure or the .mlib payload changes
 // shape: stale cache entries then stop matching.
 constexpr int kCharlibSchemaVersion = 1;
-
-// One grid point of one pin probe: both input-edge arcs.
-struct PointMeasurement {
-  bool ok = false;
-  double delay_rise = 0.0, slew_rise = 0.0, energy_rise = 0.0;
-  double delay_fall = 0.0, slew_fall = 0.0, energy_fall = 0.0;
-};
 
 }  // namespace
 
@@ -123,106 +113,52 @@ CellChar Characterizer::characterize_uncached(
                  std::string("charlib: pin cannot be sensitized: ") +
                      cells::cell_name(type) + "/" + input_names[pin]);
 
-    // Output edge direction under the sensitizing side inputs.
-    std::vector<bool> in = *side;
-    in[pin] = false;
-    const bool out0 = cells::cell_logic(type, in);
-    in[pin] = true;
-    const bool out1 = cells::cell_logic(type, in);
-    MIVTX_EXPECT(out0 != out1, "charlib: sensitization does not toggle");
-
     // All grid points of this pin fan out; the tables fill in point order
     // afterwards so results are identical for any pool size.
-    const std::vector<PointMeasurement> measured =
-        runtime::parallel_map<PointMeasurement>(
+    const std::vector<core::PinProbeLane> measured =
+        runtime::parallel_map<core::PinProbeLane>(
             exec_.pool, points, [&](std::size_t flat) {
-              const std::size_t si = flat / loads.size();
-              const std::size_t li = flat % loads.size();
-              PointMeasurement m;
-
               core::PpaOptions popt = opts_.ppa;
-              popt.t_edge = slews[si];
-              popt.parasitics.c_load = loads[li];
-              cells::CellNetlist cell = cells::build_cell(
-                  type, impl, models, popt.parasitics, vdd);
-              core::apply_pin_stimulus(cell, input_names, pin, *side, popt);
-
-              spice::TransientOptions topt;
-              topt.t_stop = core::pin_probe_t_stop(popt);
-              topt.h_max = popt.h_max;
-              topt.newton = popt.newton;
+              popt.t_edge = slews[flat / loads.size()];
+              popt.parasitics.c_load = loads[flat % loads.size()];
               runtime::Metrics::global().add("charlib.transients");
-              const spice::TransientResult tr =
-                  spice::transient(cell.circuit, topt);
-              if (!tr.ok) {
-                MIVTX_WARN << cells::cell_name(type) << "/" << impl_tag(impl)
-                           << " pin " << input_names[pin]
-                           << ": transient failed: " << tr.error;
-                return m;
-              }
-
-              const auto& v_in =
-                  tr.v(to_lower(input_names[pin]) + "_in");
-              const auto& v_out = tr.v(cell.output_node);
-              const auto& i_vdd = tr.i(cell.vdd_source);
-              const double mid = popt.t_delay + popt.t_width;
-
-              using waveform::EdgeKind;
-              const auto d_rise = waveform::propagation_delay(
-                  v_in, v_out, half, half, 0.0, EdgeKind::kRise,
-                  EdgeKind::kAny);
-              const auto t_rise = waveform::transition_time(
-                  v_out, 0.0, vdd, 0.0,
-                  out1 ? EdgeKind::kRise : EdgeKind::kFall);
-              const auto d_fall = waveform::propagation_delay(
-                  v_in, v_out, half, half, mid, EdgeKind::kFall,
-                  EdgeKind::kAny);
-              const auto t_fall = waveform::transition_time(
-                  v_out, 0.0, vdd, mid,
-                  out0 ? EdgeKind::kRise : EdgeKind::kFall);
-              if (!d_rise || !t_rise || !d_fall || !t_fall) return m;
-
-              // The VDD source's branch current reads + -> - through the
-              // source (negative while delivering); supply_energy wants
-              // the delivered direction.
-              m.ok = true;
-              m.delay_rise = *d_rise;
-              m.slew_rise = *t_rise / 0.8;
-              m.energy_rise =
-                  -waveform::supply_energy(i_vdd, vdd, 0.0, mid);
-              m.delay_fall = *d_fall;
-              m.slew_fall = *t_fall / 0.8;
-              m.energy_fall = -waveform::supply_energy(
-                  i_vdd, vdd, mid, topt.t_stop);
-              return m;
+              return std::move(
+                  core::probe_pin(type, impl, pin, *side, {models}, popt)
+                      .lanes.front());
             });
 
     ArcTables rise, fall;
     rise.pin = fall.pin = input_names[pin];
     rise.input_rise = true;
-    rise.output_rise = out1;
+    rise.output_rise = core::PpaEngine::output_rises(type, pin, *side);
     fall.input_rise = false;
-    fall.output_rise = out0;
+    fall.output_rise = !rise.output_rise;
     for (ArcTables* arc : {&rise, &fall}) {
       arc->delay = Table2D(slews, loads);
       arc->out_slew = Table2D(slews, loads);
       arc->energy = Table2D(slews, loads);
     }
     for (std::size_t flat = 0; flat < points; ++flat) {
-      const PointMeasurement& m = measured[flat];
-      MIVTX_EXPECT(m.ok,
-                   format("charlib: measurement failed for %s/%s pin %s at "
-                          "grid point %zu",
-                          cells::cell_name(type), impl_tag(impl),
-                          input_names[pin].c_str(), flat));
+      const core::PinProbeLane& m = measured[flat];
       const std::size_t si = flat / loads.size();
       const std::size_t li = flat % loads.size();
-      rise.delay.set(si, li, m.delay_rise);
-      rise.out_slew.set(si, li, m.slew_rise);
-      rise.energy.set(si, li, m.energy_rise);
-      fall.delay.set(si, li, m.delay_fall);
-      fall.out_slew.set(si, li, m.slew_fall);
-      fall.energy.set(si, li, m.energy_fall);
+      const char* edge = m.outcome == core::ProbeOutcome::kTransientFailed
+                             ? ""
+                             : m.failed_input_rise ? " (rising input edge)"
+                                                   : " (falling input edge)";
+      MIVTX_EXPECT(m.outcome == core::ProbeOutcome::kOk,
+                   format("charlib: %s/%s pin %s at slew %g s, load %g F: "
+                          "%s%s",
+                          cells::cell_name(type), impl_tag(impl),
+                          input_names[pin].c_str(), slews[si], loads[li],
+                          core::probe_outcome_name(m.outcome), edge));
+      for (const bool r : {true, false}) {
+        ArcTables& arc = r ? rise : fall;
+        const core::ProbeEdge& e = r ? m.rise : m.fall;
+        arc.delay.set(si, li, *e.delay);
+        arc.out_slew.set(si, li, *e.slew);
+        arc.energy.set(si, li, e.energy);
+      }
     }
     out.arcs.push_back(std::move(rise));
     out.arcs.push_back(std::move(fall));

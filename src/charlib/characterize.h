@@ -2,15 +2,16 @@
 // (cell, implementation) over an input-slew x output-load grid through the
 // transistor-level transient engine.
 //
-// Per (cell, pin, grid point) one pin-probe transient runs (the same
-// stimulus core::PpaEngine uses, with the pulse edge time set to the slew
-// point and the output load to the load point) and yields both input-edge
-// arcs of that pin:
-//   delay    50%-to-50% propagation (waveform::propagation_delay)
+// Per (cell, pin, grid point) one core::probe_pin call runs (the pulse
+// edge time set to the slew point, the output load to the load point) and
+// yields both input-edge arcs of that pin:
+//   delay    50%-to-50% propagation
 //   out_slew 10-90% output transition / 0.8 (equivalent full-swing ramp,
 //            so a propagated slew can be re-applied as a pulse edge time)
 //   energy   VDD-rail energy over the half-window of the switching event
-// The arc's output edge direction comes from the cell logic under the
+// Every point must probe kOk; otherwise the unit fails with the point's
+// (slew, load), the pin, the input edge and the typed probe outcome.  The
+// arc's output edge direction comes from the cell logic under the
 // sensitizing side-input assignment.
 //
 // Work fans out on runtime::ThreadPool at (cell, impl) granularity with a

@@ -1,6 +1,7 @@
 #include "core/ppa.h"
 
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "common/error.h"
@@ -12,6 +13,7 @@
 #include "runtime/artifact_cache.h"
 #include "runtime/metrics.h"
 #include "runtime/thread_pool.h"
+#include "spice/corner.h"
 #include "spice/transient.h"
 #include "trace/trace.h"
 #include "waveform/measure.h"
@@ -69,18 +71,71 @@ std::optional<std::vector<bool>> PpaEngine::sensitize(cells::CellType type,
   return std::nullopt;
 }
 
+bool PpaEngine::output_rises(cells::CellType type, std::size_t pin_index,
+                             const std::vector<bool>& side) {
+  std::vector<bool> in = side;
+  in[pin_index] = true;
+  return cells::cell_logic(type, in);
+}
+
+namespace {
+
+// Total simulated time of one pin probe (pulse up, pulse down, recovery).
 double pin_probe_t_stop(const PpaOptions& opts) {
   return opts.t_delay + opts.t_width + opts.t_delay + opts.t_width;
 }
 
-void apply_pin_stimulus(cells::CellNetlist& cell,
-                        const std::vector<std::string>& input_names,
-                        std::size_t pin, const std::vector<bool>& side,
+// Read every probe quantity off one lane's transient.  `out_rise` is the
+// output edge the rising input edge causes under the side inputs.
+void measure_pin_waveforms(const spice::TransientResult& tr,
+                           const cells::CellNetlist& cell,
+                           const std::string& pin_name, bool out_rise,
+                           const PpaOptions& opts, PinProbeLane& lane) {
+  using waveform::EdgeKind;
+  // Circuit node names are case-normalized to lower case.
+  const auto& v_in = tr.v(to_lower(pin_name) + "_in");
+  const auto& v_out = tr.v(cell.output_node);
+  const auto& i_vdd = tr.i(cell.vdd_source);
+  const double half = 0.5 * opts.vdd;
+  const double mid = opts.t_delay + opts.t_width;
+  const double t_stop = pin_probe_t_stop(opts);
+
+  lane.rise.delay = waveform::propagation_delay(
+      v_in, v_out, half, half, 0.0, EdgeKind::kRise, EdgeKind::kAny);
+  lane.fall.delay = waveform::propagation_delay(
+      v_in, v_out, half, half, mid, EdgeKind::kFall, EdgeKind::kAny);
+  // Output slew as the equivalent full-swing ramp of its 10-90% transition.
+  const auto rise_t = waveform::transition_time(
+      v_out, 0.0, opts.vdd, 0.0, out_rise ? EdgeKind::kRise : EdgeKind::kFall);
+  const auto fall_t = waveform::transition_time(
+      v_out, 0.0, opts.vdd, mid, out_rise ? EdgeKind::kFall : EdgeKind::kRise);
+  if (rise_t) lane.rise.slew = *rise_t / 0.8;
+  if (fall_t) lane.fall.slew = *fall_t / 0.8;
+
+  // The VDD source's branch current reads + -> - through the source
+  // (negative while delivering); energy and power want the delivered
+  // direction.
+  lane.rise.energy = -waveform::supply_energy(i_vdd, opts.vdd, 0.0, mid);
+  lane.fall.energy = -waveform::supply_energy(i_vdd, opts.vdd, mid, t_stop);
+  lane.power = -opts.vdd * i_vdd.average(0.0, t_stop);
+
+  lane.outcome = ProbeOutcome::kOk;
+  if (!lane.rise.delay || !lane.fall.delay) {
+    lane.outcome = ProbeOutcome::kNoDelayCrossing;
+    lane.failed_input_rise = !lane.rise.delay;
+  } else if (!lane.rise.slew || !lane.fall.slew) {
+    lane.outcome = ProbeOutcome::kNoSlewCrossing;
+    lane.failed_input_rise = !lane.rise.slew;
+  }
+}
+
+}  // namespace
+
+void apply_pin_stimulus(cells::CellNetlist& cell, std::size_t pin,
+                        const std::vector<bool>& side,
                         const PpaOptions& opts) {
-  // Side inputs at their sensitizing DC levels; the probed pin pulses
-  // low -> high -> low.
-  for (std::size_t i = 0; i < input_names.size(); ++i) {
-    spice::Element& src = cell.circuit.element("V" + input_names[i]);
+  for (std::size_t i = 0; i < cell.input_sources.size(); ++i) {
+    spice::Element& src = cell.circuit.element(cell.input_sources[i]);
     if (i == pin) {
       spice::PulseSpec p;
       p.v1 = 0.0;
@@ -96,64 +151,61 @@ void apply_pin_stimulus(cells::CellNetlist& cell,
   }
 }
 
-PinWaveMeasurement measure_pin_waveforms(const spice::TransientResult& tr,
-                                         const cells::CellNetlist& cell,
-                                         const std::string& pin_name,
-                                         const PpaOptions& opts) {
-  PinWaveMeasurement out;
-  // Circuit node names are case-normalized to lower case.
-  const auto& v_in = tr.v(to_lower(pin_name) + "_in");
-  const auto& v_out = tr.v(cell.output_node);
-  const double half = 0.5 * opts.vdd;
-
-  const auto d_rise = waveform::propagation_delay(
-      v_in, v_out, half, half, 0.0, waveform::EdgeKind::kRise,
-      waveform::EdgeKind::kAny);
-  const auto d_fall = waveform::propagation_delay(
-      v_in, v_out, half, half, opts.t_delay + opts.t_width,
-      waveform::EdgeKind::kFall, waveform::EdgeKind::kAny);
-  if (d_rise) out.arcs.push_back(ArcMeasurement{pin_name, true, *d_rise});
-  if (d_fall) out.arcs.push_back(ArcMeasurement{pin_name, false, *d_fall});
-
-  // Supply power: current delivered by the VDD source (branch current is
-  // + -> - through the source, so delivering current reads negative).
-  out.power =
-      -opts.vdd * tr.i(cell.vdd_source).average(0.0, pin_probe_t_stop(opts));
-  return out;
+const char* probe_outcome_name(ProbeOutcome outcome) {
+  switch (outcome) {
+    case ProbeOutcome::kOk: return "ok";
+    case ProbeOutcome::kTransientFailed: return "transient_failed";
+    case ProbeOutcome::kNoDelayCrossing: return "no_delay_crossing";
+    case ProbeOutcome::kNoSlewCrossing: return "no_slew_crossing";
+  }
+  return "?";
 }
 
-PpaEngine::PinOutcome PpaEngine::measure_pin(
-    cells::CellType type, cells::Implementation impl,
-    const cells::ModelSet& models, std::size_t pin,
-    const std::vector<bool>& side) const {
-  PinOutcome out;
-  const auto input_names = cells::cell_input_names(type);
-  trace::Span span("ppa.pin", "ppa", input_names[pin].c_str());
+PinProbe probe_pin(cells::CellType type, cells::Implementation impl,
+                   std::size_t pin, const std::vector<bool>& side,
+                   const std::vector<cells::ModelSet>& lanes,
+                   const PpaOptions& opts) {
+  MIVTX_EXPECT(!lanes.empty(), "probe_pin: no model sets");
+  const std::string pin_name = cells::cell_input_names(type)[pin];
+  const bool out_rise = PpaEngine::output_rises(type, pin, side);
 
-  cells::CellNetlist cell =
-      cells::build_cell(type, impl, models, opts_.parasitics, opts_.vdd);
-  out.mivs = cell.mivs;
-  apply_pin_stimulus(cell, input_names, pin, side, opts_);
+  std::vector<cells::CellNetlist> built;
+  built.reserve(lanes.size());
+  std::vector<const spice::Circuit*> circuits;
+  circuits.reserve(lanes.size());
+  for (const cells::ModelSet& models : lanes) {
+    built.push_back(
+        cells::build_cell(type, impl, models, opts.parasitics, opts.vdd));
+    apply_pin_stimulus(built.back(), pin, side, opts);
+    circuits.push_back(&built.back().circuit);
+  }
 
   spice::TransientOptions topt;
-  topt.t_stop = pin_probe_t_stop(opts_);
-  topt.h_max = opts_.h_max;
-  topt.newton = opts_.newton;
-  runtime::Metrics::global().add("ppa.transients");
-  const spice::TransientResult tr = spice::transient(cell.circuit, topt);
-  if (!tr.ok) {
-    MIVTX_WARN << cells::cell_name(type) << "/" << cells::impl_name(impl)
-               << " pin " << input_names[pin]
-               << ": transient failed: " << tr.error;
-    return out;  // simulated == false
+  topt.t_stop = pin_probe_t_stop(opts);
+  topt.h_max = opts.h_max;
+  topt.newton = opts.newton;
+  // One lane is never packable, so corner_transient runs it through
+  // spice::transient exactly as a direct call would.
+  const spice::CornerTransientResult group =
+      spice::corner_transient(circuits, topt);
+  PinProbe probe;
+  probe.lockstep = group.lockstep;
+  probe.lanes.resize(lanes.size());
+  for (std::size_t k = 0; k < lanes.size(); ++k) {
+    PinProbeLane& lane = probe.lanes[k];
+    lane.mivs = built[k].mivs;
+    const spice::TransientResult& tr = group.lanes[k];
+    if (!tr.ok) {
+      std::string lane_tag;
+      if (lanes.size() > 1) lane_tag.append(" lane ").append(std::to_string(k));
+      MIVTX_WARN << cells::cell_name(type) << "/" << cells::impl_name(impl)
+                 << " pin " << pin_name << lane_tag
+                 << ": transient failed: " << tr.error;
+      continue;  // outcome stays kTransientFailed
+    }
+    measure_pin_waveforms(tr, built[k], pin_name, out_rise, opts, lane);
   }
-  out.simulated = true;
-
-  PinWaveMeasurement m =
-      measure_pin_waveforms(tr, cell, input_names[pin], opts_);
-  out.arcs = std::move(m.arcs);
-  out.power = m.power;
-  return out;
+  return probe;
 }
 
 CellPpa PpaEngine::measure_uncached(cells::CellType type,
@@ -201,28 +253,36 @@ CellPpa PpaEngine::measure_uncached(cells::CellType type,
     }
   }
 
-  const std::vector<PinOutcome> outcomes =
-      runtime::parallel_map<PinOutcome>(
+  const std::vector<PinProbeLane> probes =
+      runtime::parallel_map<PinProbeLane>(
           exec_.pool, input_names.size(), [&](std::size_t pin) {
-            if (!sides[pin]) return PinOutcome{};
-            return measure_pin(type, impl, models, pin, *sides[pin]);
+            if (!sides[pin]) return PinProbeLane{};  // never simulated
+            trace::Span span("ppa.pin", "ppa", input_names[pin].c_str());
+            runtime::Metrics::global().add("ppa.transients");
+            return std::move(
+                probe_pin(type, impl, pin, *sides[pin], {models}, opts_)
+                    .lanes.front());
           });
 
   // Ordered reduction: accumulate in pin order exactly as the serial loop
   // did, so delay/power averages are bit-identical for any pool size.
+  // Power counts every simulated pin; delay only the edges that crossed.
   double delay_sum = 0.0;
   std::size_t delay_count = 0;
   double power_sum = 0.0;
   std::size_t power_count = 0;
-  for (const PinOutcome& out : outcomes) {
-    if (!out.simulated) continue;
-    result.mivs = out.mivs;
-    for (const ArcMeasurement& arc : out.arcs) {
-      delay_sum += arc.delay;
+  for (std::size_t pin = 0; pin < probes.size(); ++pin) {
+    const PinProbeLane& probe = probes[pin];
+    if (probe.outcome == ProbeOutcome::kTransientFailed) continue;
+    result.mivs = probe.mivs;
+    for (const bool rise : {true, false}) {
+      const std::optional<double>& d = (rise ? probe.rise : probe.fall).delay;
+      if (!d) continue;
+      delay_sum += *d;
       ++delay_count;
-      result.arcs.push_back(arc);
+      result.arcs.push_back(ArcMeasurement{input_names[pin], rise, *d});
     }
-    power_sum += out.power;
+    power_sum += probe.power;
     ++power_count;
   }
 

@@ -1,9 +1,10 @@
 // PPA measurement engine (paper §IV / Fig. 5).
 //
-// For every (cell, implementation) it builds the parasitic-annotated
-// netlist, then for each input pin finds a side-input assignment that makes
-// the output sensitive to that pin, applies a full-swing pulse and runs a
-// transient.  Reported metrics:
+// For every (cell, implementation) and each input pin it finds a side-input
+// assignment that makes the output sensitive to that pin and runs the pin
+// probe below (probe_pin), the one cell-pin measurement that the NLDM
+// characterizer (charlib/characterize.h) and the Monte-Carlo engine
+// (core/variability.h) run as well.  Reported metrics:
 //   delay  - mean 50%-to-50% propagation delay over all pin arcs and both
 //            edges (the paper's "average propagation delay of the outputs")
 //   power  - mean VDD-rail power over the switching window, averaged over
@@ -20,7 +21,6 @@
 #include "layout/cell_layout.h"
 #include "runtime/exec_policy.h"
 #include "spice/dcop.h"
-#include "spice/transient.h"
 
 namespace mivtx::core {
 
@@ -60,30 +60,59 @@ struct PpaOptions {
   bool lint = true;
 };
 
-// Pin-probe primitives shared by PpaEngine::measure_pin and the
-// lane-packed variability engine (core/variability.h), which packs one
-// Monte-Carlo sample per SIMD lane over the same per-pin transient.
-
-// Total simulated time of one pin probe (pulse up, pulse down, recovery).
-double pin_probe_t_stop(const PpaOptions& opts);
+// The pin probe: the one measurement behind Fig. 5, the NLDM library and
+// the Monte-Carlo statistics.  Pin `pin` of the cell pulses full swing (up
+// at t_delay, down at mid = t_delay + t_width, edges t_edge) while the side
+// inputs sit at the sensitizing DC levels `side`; one transient runs to
+// t_stop = 2 * mid.  The rising input edge is measured over [0, mid] and
+// the falling one over [mid, t_stop].
 
 // Drive a built cell for probing `pin`: side inputs at their sensitizing
 // DC levels, the probed pin pulsing low -> high -> low.
-void apply_pin_stimulus(cells::CellNetlist& cell,
-                        const std::vector<std::string>& input_names,
-                        std::size_t pin, const std::vector<bool>& side,
+void apply_pin_stimulus(cells::CellNetlist& cell, std::size_t pin,
+                        const std::vector<bool>& side,
                         const PpaOptions& opts);
 
-// Arc delays and average VDD-rail power extracted from one pin-probe
-// transient (`pin_name` is the un-normalized input pin name).
-struct PinWaveMeasurement {
-  std::vector<ArcMeasurement> arcs;
-  double power = 0.0;
+// Why a probe lane did or did not measure.  A missing crossing means the
+// transient ran but the output never reached the threshold inside its
+// half window.
+enum class ProbeOutcome {
+  kOk,
+  kTransientFailed,
+  kNoDelayCrossing,  // output never crossed vdd/2 after the input edge
+  kNoSlewCrossing,   // output never completed its 10%-90% transition
 };
-PinWaveMeasurement measure_pin_waveforms(const spice::TransientResult& tr,
-                                         const cells::CellNetlist& cell,
-                                         const std::string& pin_name,
-                                         const PpaOptions& opts);
+const char* probe_outcome_name(ProbeOutcome outcome);
+
+// What one input edge of a probe lane measured.
+struct ProbeEdge {
+  std::optional<double> delay;  // s, 50%-to-50% propagation
+  std::optional<double> slew;   // s, 10-90% output transition / 0.8
+  double energy = 0.0;          // J, VDD-rail energy over the half window
+};
+
+// One lane of a probe: one cell build under one model set.
+struct PinProbeLane {
+  // Default state (never simulated) reads as a failed transient.
+  ProbeOutcome outcome = ProbeOutcome::kTransientFailed;
+  bool failed_input_rise = false;  // input edge of the first missing crossing
+  ProbeEdge rise, fall;            // by input edge
+  double power = 0.0;  // W, average VDD-rail power over [0, t_stop]
+  cells::MivStats mivs;
+};
+
+struct PinProbe {
+  std::vector<PinProbeLane> lanes;  // one per model set, same order
+  bool lockstep = false;            // the lanes ran lane-packed
+};
+
+// Probe `pin` of (type, impl) once per model set in `lanes`, all through
+// one spice::corner_transient: several lanes run lockstep, one lane per SIMD
+// lane of the batched device kernel; a single lane runs spice::transient.
+PinProbe probe_pin(cells::CellType type, cells::Implementation impl,
+                   std::size_t pin, const std::vector<bool>& side,
+                   const std::vector<cells::ModelSet>& lanes,
+                   const PpaOptions& opts);
 
 class PpaEngine {
  public:
@@ -106,20 +135,14 @@ class PpaEngine {
   // output (never the case for these cells).
   static std::optional<std::vector<bool>> sensitize(cells::CellType type,
                                                     std::size_t pin_index);
+  // Whether the output rises when pin `pin_index` rises under the
+  // sensitizing side inputs `side` (it then falls when the pin falls).
+  static bool output_rises(cells::CellType type, std::size_t pin_index,
+                           const std::vector<bool>& side);
 
   const layout::DesignRules& rules() const { return layout_.rules(); }
 
  private:
-  // Per-pin measurement, the unit of intra-cell parallelism.
-  struct PinOutcome {
-    bool simulated = false;  // transient converged
-    std::vector<ArcMeasurement> arcs;
-    double power = 0.0;
-    cells::MivStats mivs;
-  };
-  PinOutcome measure_pin(cells::CellType type, cells::Implementation impl,
-                         const cells::ModelSet& models, std::size_t pin,
-                         const std::vector<bool>& side) const;
   CellPpa measure_uncached(cells::CellType type,
                            cells::Implementation impl) const;
 

@@ -9,7 +9,6 @@
 #include "common/rng.h"
 #include "runtime/metrics.h"
 #include "runtime/thread_pool.h"
-#include "spice/corner.h"
 #include "trace/trace.h"
 
 namespace mivtx::core {
@@ -76,11 +75,11 @@ std::vector<std::optional<SampleResult>> run_per_sample(
       });
 }
 
-// Lane-packed engine: every pin probe runs all samples as ONE lockstepped
-// corner transient (spice::corner_transient), one Monte-Carlo sample per
-// SIMD lane of the batched BSIMSOI kernel.  The RNG streams are the same
-// counter-based splits as run_per_sample, so both engines simulate
-// identical sampled circuits.
+// Lane-packed engine: every pin probe takes all samples as its lanes and
+// runs them as ONE lockstepped corner transient (probe_pin), one
+// Monte-Carlo sample per SIMD lane of the batched BSIMSOI kernel.  The RNG
+// streams are the same counter-based splits as run_per_sample, so both
+// engines simulate identical sampled circuits.
 std::vector<std::optional<SampleResult>> run_lane_packed(
     const ModelLibrary& library, cells::CellType type,
     cells::Implementation impl, const VariationSpec& spec,
@@ -110,11 +109,6 @@ std::vector<std::optional<SampleResult>> run_lane_packed(
   };
   std::vector<Acc> acc(num_samples);
 
-  spice::TransientOptions topt;
-  topt.t_stop = pin_probe_t_stop(ppa_opts);
-  topt.h_max = ppa_opts.h_max;
-  topt.newton = ppa_opts.newton;
-
   for (std::size_t pin = 0; pin < input_names.size(); ++pin) {
     const auto side = PpaEngine::sensitize(type, pin);
     if (!side) {
@@ -124,40 +118,22 @@ std::vector<std::optional<SampleResult>> run_lane_packed(
     }
     trace::Span span("variability.pin_group", "variability",
                      input_names[pin].c_str());
-
-    std::vector<cells::CellNetlist> cells_built;
-    cells_built.reserve(num_samples);
-    std::vector<const spice::Circuit*> corners;
-    corners.reserve(num_samples);
-    for (std::size_t s = 0; s < num_samples; ++s) {
-      cells_built.push_back(cells::build_cell(
-          type, impl, sets[s], ppa_opts.parasitics, ppa_opts.vdd));
-      apply_pin_stimulus(cells_built.back(), input_names, pin, *side,
-                         ppa_opts);
-      corners.push_back(&cells_built.back().circuit);
-    }
-
     runtime::Metrics::global().add("variability.pin_groups");
-    const spice::CornerTransientResult group =
-        spice::corner_transient(corners, topt);
+    const PinProbe group = probe_pin(type, impl, pin, *side, sets, ppa_opts);
     if (group.lockstep) ++lockstep_groups;
 
     for (std::size_t s = 0; s < num_samples; ++s) {
-      const spice::TransientResult& tr = group.lanes[s];
-      if (!tr.ok) {
-        MIVTX_WARN << cells::cell_name(type) << "/" << cells::impl_name(impl)
-                   << " pin " << input_names[pin] << " sample " << s
-                   << ": transient failed: " << tr.error;
+      const PinProbeLane& lane = group.lanes[s];
+      if (lane.outcome == ProbeOutcome::kTransientFailed) {
         acc[s].failed = true;
         continue;
       }
-      const PinWaveMeasurement m = measure_pin_waveforms(
-          tr, cells_built[s], input_names[pin], ppa_opts);
-      for (const ArcMeasurement& arc : m.arcs) {
-        acc[s].delay_sum += arc.delay;
+      for (const ProbeEdge* edge : {&lane.rise, &lane.fall}) {
+        if (!edge->delay) continue;
+        acc[s].delay_sum += *edge->delay;
         acc[s].delay_count += 1;
       }
-      acc[s].power_sum += m.power;
+      acc[s].power_sum += lane.power;
       acc[s].power_count += 1;
     }
   }

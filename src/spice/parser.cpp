@@ -40,7 +40,7 @@ std::vector<std::pair<int, std::string>> logical_lines(
     if (line[0] == '+') {
       MIVTX_EXPECT(!out.empty(),
                    "line " + std::to_string(no) + ": continuation at start");
-      out.back().second += " " + line.substr(1);
+      out.back().second.append(" ").append(line, 1);
       continue;
     }
     out.emplace_back(no, line);

@@ -133,26 +133,13 @@ std::vector<SolverConfig> iterative_solver_matrix(bool pin_cg) {
 DiffCase make_cell_case(cells::CellType type, cells::Implementation impl,
                         const core::ModelLibrary& library) {
   const core::PpaEngine engine(library);
+  core::PpaOptions probe;
+  probe.t_delay = 20e-12;
+  probe.t_width = 100e-12;
   cells::CellNetlist cell = cells::build_cell(
-      type, impl, engine.model_set(impl), cells::ParasiticSpec{}, 1.0);
-  const std::vector<std::string> inputs = cells::cell_input_names(type);
-  const auto side = core::PpaEngine::sensitize(type, 0);
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    spice::Element& src = cell.circuit.element("V" + inputs[i]);
-    if (i == 0) {
-      spice::PulseSpec p;
-      p.v1 = 0.0;
-      p.v2 = 1.0;
-      p.delay = 20e-12;
-      p.rise = 20e-12;
-      p.fall = 20e-12;
-      p.width = 100e-12;
-      src.source = spice::SourceSpec::Pulse(p);
-    } else {
-      src.source =
-          spice::SourceSpec::DC(side.has_value() && (*side)[i] ? 1.0 : 0.0);
-    }
-  }
+      type, impl, engine.model_set(impl), probe.parasitics, probe.vdd);
+  core::apply_pin_stimulus(cell, 0, *core::PpaEngine::sensitize(type, 0),
+                           probe);
   DiffCase c;
   c.name = format("%s/%s", cells::cell_name(type), cells::impl_name(impl));
   c.circuit = std::move(cell.circuit);

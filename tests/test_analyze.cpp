@@ -470,6 +470,34 @@ TEST(SlackSta, ClockPeriodSetsRequiredTimes) {
   EXPECT_DOUBLE_EQ(r.paths[0].slack, -0.5);
 }
 
+TEST(SlackSta, RelativeModeCriticalSlackIsExactlyZero) {
+  // Without a clock the worst arrival is the requirement, so the critical
+  // path's slack is exactly 0, not the rounding residue of
+  // (T - sum of delays) - arrival (-3.1e-25 s on alu64 before).
+  const Design d = design_from_netlist(gatelevel::alu_block(64));
+  const AnalyzeReport report = analyze_design(d, default_timing_model());
+  ASSERT_TRUE(report.sta.has_value());
+  EXPECT_EQ(report.sta->worst_slack, 0.0);
+  ASSERT_FALSE(report.sta->paths.empty());
+  EXPECT_EQ(report.sta->paths[0].slack, 0.0);
+}
+
+TEST(SlackSta, ExactlyTiedEndpointsSortByArrivalThenName) {
+  // aoi's z0 and z1 also launch the path to z2, so all three endpoints sit
+  // on the critical path: slack exactly 0 each.  The tie then orders them
+  // by later arrival (z2) and, for z0/z1's equal arrivals, by name.
+  const Design d = design_from_netlist(gatelevel::aoi_block());
+  const AnalyzeReport report = analyze_design(d, default_timing_model());
+  ASSERT_TRUE(report.sta.has_value());
+  const auto& paths = report.sta->paths;
+  ASSERT_EQ(paths.size(), 3u);
+  EXPECT_EQ(paths[0].endpoint, "z2");
+  EXPECT_EQ(paths[1].endpoint, "z0");
+  EXPECT_EQ(paths[2].endpoint, "z1");
+  EXPECT_EQ(paths[1].arrival, paths[2].arrival);
+  for (const TimingPath& p : paths) EXPECT_EQ(p.slack, 0.0) << p.endpoint;
+}
+
 TEST(SlackSta, WorstPathsAreSortedAndBounded) {
   const gatelevel::GateNetlist n = gatelevel::ripple_carry_adder(8);
   StaOptions opts;

@@ -228,7 +228,10 @@ TEST(Json, NestingUpToTheLimitParses) {
   EXPECT_THROW(Json::parse(nested_arrays(257)), Error);
   // Closed siblings do not accumulate depth.
   std::string wide = "[";
-  for (int i = 0; i < 1000; ++i) wide += (i ? "," : "") + nested_arrays(200);
+  for (int i = 0; i < 1000; ++i) {
+    if (i > 0) wide += ',';
+    wide += nested_arrays(200);
+  }
   EXPECT_NO_THROW(Json::parse(wide + "]"));
 }
 

@@ -268,8 +268,9 @@ Circuit ladder_circuit(std::size_t sections) {
   Circuit ckt;
   ckt.add_vsource("VIN", ckt.node("n0"), kGround, SourceSpec::DC(1.0));
   for (std::size_t i = 0; i < sections; ++i) {
-    const NodeId a = ckt.node("n" + std::to_string(i));
-    const NodeId b = ckt.node("n" + std::to_string(i + 1));
+    const NodeId a = ckt.node(std::string("n").append(std::to_string(i)));
+    const NodeId b =
+        ckt.node(std::string("n").append(std::to_string(i + 1)));
     ckt.add_resistor("Rs" + std::to_string(i), a, b, 10.0);
     ckt.add_resistor("Rg" + std::to_string(i), b, kGround, 1e3);
   }

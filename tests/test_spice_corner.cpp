@@ -21,26 +21,13 @@ namespace {
 // sensitizing levels (same stimulus as the sparse backend tests).
 Circuit sample_cell(cells::CellType type, cells::Implementation impl) {
   const core::PpaEngine engine(core::reference_model_library());
+  core::PpaOptions probe;
+  probe.t_delay = 20e-12;
+  probe.t_width = 100e-12;
   cells::CellNetlist cell = cells::build_cell(
-      type, impl, engine.model_set(impl), cells::ParasiticSpec{}, 1.0);
-  const std::vector<std::string> inputs = cells::cell_input_names(type);
-  const auto side = core::PpaEngine::sensitize(type, 0);
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    Element& src = cell.circuit.element("V" + inputs[i]);
-    if (i == 0) {
-      PulseSpec p;
-      p.v1 = 0.0;
-      p.v2 = 1.0;
-      p.delay = 20e-12;
-      p.rise = 20e-12;
-      p.fall = 20e-12;
-      p.width = 100e-12;
-      src.source = SourceSpec::Pulse(p);
-    } else {
-      src.source =
-          SourceSpec::DC(side.has_value() && (*side)[i] ? 1.0 : 0.0);
-    }
-  }
+      type, impl, engine.model_set(impl), probe.parasitics, probe.vdd);
+  core::apply_pin_stimulus(cell, 0, *core::PpaEngine::sensitize(type, 0),
+                           probe);
   return cell.circuit;
 }
 
