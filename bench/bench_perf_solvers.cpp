@@ -84,8 +84,8 @@ void BM_DenseLU(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseLU)->Arg(10)->Arg(30)->Arg(100)->Complexity();
 
-void BM_BandedLU(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
+// n-by-n, kl = ku = 15: the TCAD grid's shape at n = 555 (37 x 15 nodes).
+linalg::BandedMatrix random_banded(std::size_t n) {
   const std::size_t bw = 15;
   Rng rng(2);
   linalg::BandedMatrix a(n, bw, bw);
@@ -95,13 +95,37 @@ void BM_BandedLU(benchmark::State& state) {
     for (std::size_t c = c0; c <= c1; ++c)
       a.set(r, c, rng.uniform(-1, 1) + (r == c ? 4.0 : 0.0));
   }
+  return a;
+}
+
+void BM_BandedLU(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const linalg::BandedMatrix a = random_banded(n);
   linalg::Vector b(n, 1.0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(linalg::BandedLU(a).solve(b));
   }
   state.SetComplexityN(static_cast<int64_t>(n));
 }
-BENCHMARK(BM_BandedLU)->Arg(100)->Arg(500)->Arg(2000)->Complexity();
+BENCHMARK(BM_BandedLU)->Arg(100)->Arg(500)->Arg(555)->Arg(2000)->Complexity();
+
+// The TCAD solver's pattern: one workspace per simulator, refilled and
+// refactored in place for every solve (no allocation per solve).
+void BM_BandedLURefactor(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const linalg::BandedMatrix a = random_banded(n);
+  linalg::BandedLU ws(n, a.lower_bandwidth(), a.upper_bandwidth());
+  linalg::Vector x(n);
+  for (auto _ : state) {
+    ws.matrix() = a;
+    ws.factor();
+    std::fill(x.begin(), x.end(), 1.0);
+    ws.solve_in_place(x);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_BandedLURefactor)->Arg(555);
 
 void BM_CompactModelEval(benchmark::State& state) {
   const auto& card = core::reference_model_library().card(

@@ -59,70 +59,102 @@ Vector BandedMatrix::multiply(const Vector& x) const {
   return y;
 }
 
-BandedLU::BandedLU(BandedMatrix a) : lu_(std::move(a)) {
+BandedLU::BandedLU(BandedMatrix a) : lu_(std::move(a)) { factor(); }
+
+BandedLU::BandedLU(std::size_t n, std::size_t kl, std::size_t ku)
+    : lu_(n, kl, ku) {}
+
+BandedMatrix& BandedLU::matrix() {
+  factored_ = false;
+  return lu_;
+}
+
+void BandedLU::factor() {
   const std::size_t n = lu_.n_;
   const std::size_t kl = lu_.kl_;
   const std::size_t ku = lu_.ku_;
-  pivots_.resize(n);
-
-  // Effective upper bandwidth after pivoting grows to kl + ku.
   const std::size_t kv = kl + ku;
+  const std::size_t ld = lu_.ldab_;
+  double* const ab = lu_.store_.data();
+  pivots_.resize(n);
+  reach_.resize(n);
+  factored_ = false;
+
+  // (r, c) sits at ab[c * ld + kv + r - c]: a column of the band is
+  // contiguous, and (j + i, c) is i doubles past (j, c).
+  std::size_t ju = 0;
   for (std::size_t j = 0; j < n; ++j) {
-    // Find pivot in column j among rows j .. min(j+kl, n-1).
-    const std::size_t rmax = std::min(j + kl, n - 1);
-    std::size_t p = j;
-    double best = std::fabs(lu_.store_[lu_.index(j, j)]);
-    for (std::size_t r = j + 1; r <= rmax; ++r) {
-      const double v = std::fabs(lu_.store_[lu_.index(r, j)]);
+    double* const col = ab + j * ld + kv;  // col[i] = (j + i, j)
+    const std::size_t km = std::min(kl, n - 1 - j);
+    // Pivot: the first largest |entry| among rows j .. j + km.
+    std::size_t jp = 0;
+    double best = std::fabs(col[0]);
+    for (std::size_t i = 1; i <= km; ++i) {
+      const double v = std::fabs(col[i]);
       if (v > best) {
         best = v;
-        p = r;
+        jp = i;
       }
     }
     MIVTX_EXPECT(best > 0.0 && std::isfinite(best),
                  "singular matrix in BandedLU at column " + std::to_string(j));
-    pivots_[j] = p;
-    if (p != j) {
-      // Swap rows j and p across the accessible band columns.
-      const std::size_t cend = std::min(j + kv, n - 1);
-      for (std::size_t c = j; c <= cend; ++c) {
-        std::swap(lu_.store_[lu_.index(j, c)], lu_.store_[lu_.index(p, c)]);
+    pivots_[j] = j + jp;
+    // Row j + jp reaches column j + jp + ku; every column past ju is still
+    // an exact zero in rows j .. j + km.
+    ju = std::max(ju, std::min(j + jp + ku, n - 1));
+    reach_[j] = ju;
+    if (jp != 0) {
+      for (std::size_t c = j; c <= ju; ++c) {
+        double* const cc = ab + c * ld + kv + j - c;
+        std::swap(cc[0], cc[jp]);
       }
     }
-    const double inv = 1.0 / lu_.store_[lu_.index(j, j)];
-    for (std::size_t r = j + 1; r <= rmax; ++r) {
-      const double f = lu_.store_[lu_.index(r, j)] * inv;
-      lu_.store_[lu_.index(r, j)] = f;
-      if (f == 0.0) continue;
-      const std::size_t cend = std::min(j + kv, n - 1);
-      for (std::size_t c = j + 1; c <= cend; ++c) {
-        lu_.store_[lu_.index(r, c)] -= f * lu_.store_[lu_.index(j, c)];
+    const double inv = 1.0 / col[0];
+    for (std::size_t i = 1; i <= km; ++i) col[i] *= inv;
+    // Rank-1 update of the trailing block, one contiguous column at a time.
+    // Rows go in pairs loaded before either store, a shape GCC's -O2 SLP
+    // vectorizer turns into one packed multiply-subtract per pair.
+    for (std::size_t c = j + 1; c <= ju; ++c) {
+      double* const cc = ab + c * ld + kv + j - c;  // cc[i] = (j + i, c)
+      const double u = cc[0];
+      std::size_t i = 1;
+      for (; i + 1 <= km; i += 2) {
+        const double f0 = col[i], f1 = col[i + 1];
+        const double a0 = cc[i], a1 = cc[i + 1];
+        cc[i] = a0 - f0 * u;
+        cc[i + 1] = a1 - f1 * u;
       }
+      if (i <= km) cc[i] -= col[i] * u;
     }
   }
+  factored_ = true;
 }
 
 void BandedLU::solve_in_place(Vector& b) const {
   const std::size_t n = lu_.n_;
   const std::size_t kl = lu_.kl_;
   const std::size_t kv = lu_.kl_ + lu_.ku_;
+  const std::size_t ld = lu_.ldab_;
+  const double* const ab = lu_.store_.data();
+  MIVTX_EXPECT(factored_, "banded solve: matrix not factored");
   MIVTX_EXPECT(b.size() == n, "banded solve: rhs size mismatch");
   // Apply permutation + forward substitution.
   for (std::size_t j = 0; j < n; ++j) {
     if (pivots_[j] != j) std::swap(b[j], b[pivots_[j]]);
     const double bj = b[j];
     if (bj == 0.0) continue;
-    const std::size_t rmax = std::min(j + kl, n - 1);
-    for (std::size_t r = j + 1; r <= rmax; ++r)
-      b[r] -= lu_.store_[lu_.index(r, j)] * bj;
+    const double* const col = ab + j * ld + kv;
+    const std::size_t km = std::min(kl, n - 1 - j);
+    for (std::size_t i = 1; i <= km; ++i) b[j + i] -= col[i] * bj;
   }
-  // Back substitution.
+  // Back substitution, each row's terms in increasing column order.  Row
+  // jj's entries are (ld - 1) doubles apart: (jj, c) at jj + kv + c * (ld - 1).
   for (std::size_t jj = n; jj-- > 0;) {
-    const std::size_t cend = std::min(jj + kv, n - 1);
+    const double* const row = ab + jj + kv;
     double s = b[jj];
-    for (std::size_t c = jj + 1; c <= cend; ++c)
-      s -= lu_.store_[lu_.index(jj, c)] * b[c];
-    b[jj] = s / lu_.store_[lu_.index(jj, jj)];
+    for (std::size_t c = jj + 1; c <= reach_[jj]; ++c)
+      s -= row[c * (ld - 1)] * b[c];
+    b[jj] = s / row[jj * (ld - 1)];
   }
 }
 

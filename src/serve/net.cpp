@@ -56,6 +56,10 @@ void Socket::shutdown_read() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
 }
 
+void Socket::shutdown_write() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
+}
+
 bool Socket::write_all(std::string_view data) {
   std::size_t off = 0;
   while (off < data.size()) {
@@ -72,7 +76,7 @@ bool Socket::write_all(std::string_view data) {
 
 std::optional<std::string> LineReader::read_line() {
   while (true) {
-    const std::size_t nl = buf_.find('\n', pos_);
+    const std::size_t nl = buf_.find('\n', scan_);
     if (nl != std::string::npos) {
       std::string line = buf_.substr(pos_, nl - pos_);
       pos_ = nl + 1;
@@ -80,14 +84,33 @@ std::optional<std::string> LineReader::read_line() {
         buf_.erase(0, pos_);
         pos_ = 0;
       }
+      scan_ = pos_;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       return line;
+    }
+    scan_ = buf_.size();
+    if (buf_.size() - pos_ > max_line_) {
+      too_long_ = true;
+      return std::nullopt;
     }
     char chunk[4096];
     ssize_t n = ::read(fd_, chunk, sizeof chunk);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return std::nullopt;
     buf_.append(chunk, static_cast<std::size_t>(n));
+  }
+}
+
+void LineReader::discard(std::size_t max_bytes) {
+  buf_.clear();
+  pos_ = scan_ = 0;
+  std::size_t dropped = 0;
+  char chunk[4096];
+  while (dropped < max_bytes) {
+    const ssize_t n = ::read(fd_, chunk, sizeof chunk);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return;
+    dropped += static_cast<std::size_t>(n);
   }
 }
 
@@ -115,7 +138,7 @@ Listener::Listener(const std::string& host, int port) {
 
 Socket Listener::accept() {
   while (true) {
-    const int fd = ::accept(fd_, nullptr, nullptr);
+    const int fd = ::accept(fd_.load(), nullptr, nullptr);
     if (fd >= 0) {
       set_nodelay(fd);
       return Socket(fd);
@@ -126,12 +149,12 @@ Socket Listener::accept() {
 }
 
 void Listener::close() {
-  if (fd_ >= 0) {
+  const int fd = fd_.exchange(-1);
+  if (fd >= 0) {
     // shutdown() before close() reliably wakes a thread blocked in
     // accept(); close() alone may leave it sleeping on some kernels.
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
+    ::shutdown(fd, SHUT_RDWR);
+    ::close(fd);
   }
 }
 

@@ -9,7 +9,9 @@
 // read() without resorting to signals or polling.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -33,6 +35,8 @@ class Socket {
   // Half-close the read side: a thread blocked in read() on this socket
   // returns 0 (EOF) while writes keep flowing.
   void shutdown_read();
+  // Half-close the write side: the peer reads what was sent, then EOF.
+  void shutdown_write();
 
   // Write the whole buffer; false on any error (peer gone, ...).
   bool write_all(std::string_view data);
@@ -41,19 +45,31 @@ class Socket {
   int fd_ = -1;
 };
 
-// Buffered newline-delimited reader over a socket.
+// Buffered newline-delimited reader over a socket.  Each byte is scanned
+// for '\n' once, however many reads a long line takes.
 class LineReader {
  public:
-  explicit LineReader(int fd) : fd_(fd) {}
+  // max_line bounds the bytes of one pending line, and so the buffer.
+  explicit LineReader(int fd, std::size_t max_line = SIZE_MAX)
+      : fd_(fd), max_line_(max_line) {}
 
   // Next line without its trailing '\n' (a trailing '\r' is stripped too,
-  // so HTTP request lines parse cleanly).  nullopt on EOF or error.
+  // so HTTP request lines parse cleanly).  nullopt on EOF or error, and
+  // once a line runs past max_line without a newline (then too_long()).
   std::optional<std::string> read_line();
+  bool too_long() const { return too_long_; }
+
+  // Read and drop input until EOF, an error or max_bytes, for a clean
+  // close after rejecting a connection whose peer is still sending.
+  void discard(std::size_t max_bytes);
 
  private:
   int fd_;
+  std::size_t max_line_;
   std::string buf_;
-  std::size_t pos_ = 0;
+  std::size_t pos_ = 0;   // start of the pending line
+  std::size_t scan_ = 0;  // buf_[pos_, scan_) holds no '\n'
+  bool too_long_ = false;
 };
 
 // Listening socket on host:port; port 0 binds an ephemeral port (the
@@ -69,11 +85,12 @@ class Listener {
   // Blocking accept; an invalid Socket means the listener was closed.
   // Accepted sockets have TCP_NODELAY set, like connect_to's.
   Socket accept();
-  // Close the listening fd; wakes a blocked accept().
+  // Close the listening fd; wakes a blocked accept().  Safe to call from
+  // another thread while accept() blocks.
   void close();
 
  private:
-  int fd_ = -1;
+  std::atomic<int> fd_{-1};  // close() on one thread, accept() on another
   int port_ = 0;
 };
 

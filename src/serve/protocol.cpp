@@ -53,6 +53,7 @@ const char* status_name(ResponseStatus status) {
     case ResponseStatus::kError: return "error";
     case ResponseStatus::kQueueFull: return "queue_full";
     case ResponseStatus::kDraining: return "draining";
+    case ResponseStatus::kRequestTooLarge: return "request_too_large";
   }
   return "?";
 }
@@ -60,7 +61,8 @@ const char* status_name(ResponseStatus status) {
 ResponseStatus status_from_name(const std::string& name) {
   for (ResponseStatus s :
        {ResponseStatus::kOk, ResponseStatus::kError,
-        ResponseStatus::kQueueFull, ResponseStatus::kDraining}) {
+        ResponseStatus::kQueueFull, ResponseStatus::kDraining,
+        ResponseStatus::kRequestTooLarge}) {
     if (equals_ci(name, status_name(s))) return s;
   }
   throw Error("serve: unknown response status '" + name + "'");

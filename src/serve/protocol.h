@@ -7,12 +7,13 @@
 // nominal corner").  Unknown fields are a protocol error: silently
 // ignoring a typo like "gird_n" would silently serve the wrong corner.
 //
-// Responses echo the request id, carry a typed status — "queue_full" and
-// "draining" are statuses, not generic errors, so clients can implement
-// backoff — and stream back the artifact payload (the same lossless text
-// core/artifacts.h caches, so a served result is byte-comparable to a
-// local run_full_flow), per-request wall time, queue wait and the trace
-// span id for cross-referencing a server-side flamegraph.
+// Responses echo the request id, carry a typed status — "queue_full",
+// "draining" and "request_too_large" are statuses, not generic errors, so
+// clients can implement backoff — and stream back the artifact payload
+// (the same lossless text core/artifacts.h caches, so a served result is
+// byte-comparable to a local run_full_flow), per-request wall time, queue
+// wait and the trace span id for cross-referencing a server-side
+// flamegraph.
 //
 // Admin kinds: "health" (liveness + queue depth), "metrics" (registry dump
 // including latency histograms), "shutdown" (graceful drain).  For
@@ -21,6 +22,7 @@
 // first-class interface.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -77,7 +79,17 @@ struct Request {
   static Request from_json_line(const std::string& line);
 };
 
-enum class ResponseStatus { kOk, kError, kQueueFull, kDraining };
+// Longest request line the daemon reads; a longer one is answered with
+// "request_too_large" and its connection closed.
+inline constexpr std::size_t kMaxRequestBytes = std::size_t{4} << 20;
+
+enum class ResponseStatus {
+  kOk,
+  kError,
+  kQueueFull,
+  kDraining,
+  kRequestTooLarge
+};
 
 const char* status_name(ResponseStatus status);
 ResponseStatus status_from_name(const std::string& name);

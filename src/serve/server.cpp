@@ -119,10 +119,22 @@ void Server::accept_loop() {
 }
 
 void Server::reader_loop(std::shared_ptr<Connection> conn) {
-  LineReader reader(conn->sock.fd());
+  LineReader reader(conn->sock.fd(), kMaxRequestBytes);
   while (std::optional<std::string> line = reader.read_line()) {
     if (line->empty()) continue;
     if (!handle_line(conn, *line)) break;
+  }
+  if (reader.too_long()) {
+    // Answer, half-close, and drop a bounded amount of what the peer is
+    // still sending, so the answer arrives before the connection closes.
+    runtime::Metrics::global().add("serve.rejected.request_too_large");
+    Response resp;
+    resp.status = ResponseStatus::kRequestTooLarge;
+    resp.error = format("request line longer than %zu bytes; closing",
+                        kMaxRequestBytes);
+    conn->send_line(resp.to_json_line());
+    conn->sock.shutdown_write();
+    reader.discard(kMaxRequestBytes);
   }
   std::lock_guard<std::mutex> lock(m_);
   conns_.erase(conn);

@@ -4,8 +4,25 @@
 
 #include "common/error.h"
 #include "linalg/vector_ops.h"
+#include "runtime/metrics.h"
 
 namespace mivtx::tcad {
+
+namespace {
+
+// Publish the simulator's work since the last sweep: once per sweep, since
+// every Metrics::add takes the registry lock.
+void publish_work(DeviceSimulator& sim) {
+  const SolverWork w = sim.take_work();
+  runtime::Metrics& m = runtime::Metrics::global();
+  m.add("tcad.bias_points", static_cast<double>(w.bias_points));
+  m.add("tcad.continuation_steps", static_cast<double>(w.continuation_steps));
+  m.add("tcad.gummel_iterations", static_cast<double>(w.gummel_iterations));
+  m.add("tcad.banded_factorizations",
+        static_cast<double>(w.banded_factorizations));
+}
+
+}  // namespace
 
 double Characterizer::polarity_sign() const {
   return sim_.structure().spec.polarity == Polarity::kNmos ? 1.0 : -1.0;
@@ -20,6 +37,7 @@ Curve Characterizer::id_vg(double vds_mag, const std::vector<double>& vg_mags) {
     const Solution& sol = sim_.solve(BiasPoint{s * vg, s * vds_mag});
     out.push_back(CurvePoint{vg, std::fabs(sim_.drain_current(sol))});
   }
+  publish_work(sim_);
   return out;
 }
 
@@ -32,6 +50,7 @@ Curve Characterizer::id_vd(double vgs_mag, const std::vector<double>& vd_mags) {
     const Solution& sol = sim_.solve(BiasPoint{s * vgs_mag, s * vd});
     out.push_back(CurvePoint{vd, std::fabs(sim_.drain_current(sol))});
   }
+  publish_work(sim_);
   return out;
 }
 
@@ -51,6 +70,7 @@ Curve Characterizer::cgg_vg(double vds_mag, const std::vector<double>& vg_mags,
     // for PMOS, so the signed step is s * dv.
     out.push_back(CurvePoint{vg, (q_hi - q_lo) / (2.0 * s * dv)});
   }
+  publish_work(sim_);
   return out;
 }
 
@@ -58,6 +78,7 @@ double Characterizer::ion(double vdd) {
   const double s = polarity_sign();
   sim_.reset();
   const Solution& sol = sim_.solve(BiasPoint{s * vdd, s * vdd});
+  publish_work(sim_);
   return std::fabs(sim_.drain_current(sol));
 }
 
@@ -65,6 +86,7 @@ double Characterizer::ioff(double vdd) {
   const double s = polarity_sign();
   sim_.reset();
   const Solution& sol = sim_.solve(BiasPoint{0.0, s * vdd});
+  publish_work(sim_);
   return std::fabs(sim_.drain_current(sol));
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
 #include "common/log.h"
@@ -43,7 +44,18 @@ double ct_mobility(bool electrons, double abs_doping) {
 DeviceSimulator::DeviceSimulator(DeviceSpec spec, GummelOptions opts)
     : spec_(std::move(spec)), opts_(opts), structure_(build_structure(spec_)),
       table_(build_edge_table(structure_)),
-      vt_(thermal_voltage(opts.temperature)), ni_(kSiIntrinsicDensity) {}
+      vt_(thermal_voltage(opts.temperature)), ni_(kSiIntrinsicDensity),
+      lu_(structure_.mesh.num_nodes(), structure_.mesh.ny(),
+          structure_.mesh.ny()) {
+  mu0_n_.reserve(table_.edges.size());
+  mu0_p_.reserve(table_.edges.size());
+  for (const Edge& e : table_.edges) {
+    mu0_n_.push_back(ct_mobility(true, e.abs_doping) * spec_.mobility_factor);
+    mu0_p_.push_back(ct_mobility(false, e.abs_doping) * spec_.mobility_factor);
+  }
+}
+
+SolverWork DeviceSimulator::take_work() { return std::exchange(work_, {}); }
 
 void DeviceSimulator::reset() { have_state_ = false; }
 
@@ -63,10 +75,9 @@ double DeviceSimulator::contact_psi(ContactKind kind, BiasPoint bias,
   MIVTX_FAIL("contact_psi on a non-contact node");
 }
 
-double DeviceSimulator::edge_mobility(bool electrons, double doping_avg,
+double DeviceSimulator::edge_mobility(bool electrons, std::size_t e,
                                       double e_parallel) const {
-  const double mu0 =
-      ct_mobility(electrons, doping_avg) * spec_.mobility_factor;
+  const double mu0 = electrons ? mu0_n_[e] : mu0_p_[e];
   const double vsat = electrons ? spec_.vsat_n : spec_.vsat_p;
   if (electrons) {
     const double r = mu0 * e_parallel / vsat;
@@ -75,11 +86,15 @@ double DeviceSimulator::edge_mobility(bool electrons, double doping_avg,
   return mu0 / (1.0 + mu0 * e_parallel / vsat);
 }
 
-double DeviceSimulator::solve_poisson(Solution& sol, BiasPoint bias) const {
-  const Mesh& mesh = structure_.mesh;
+void DeviceSimulator::factor_and_solve(linalg::Vector& rhs) {
+  lu_.factor();
+  ++work_.banded_factorizations;
+  lu_.solve_in_place(rhs);
+}
+
+double DeviceSimulator::solve_poisson(Solution& sol, BiasPoint bias) {
   const EdgeTable& et = table_;
-  const std::size_t nn = mesh.num_nodes();
-  const std::size_t bw = mesh.ny();
+  const std::size_t nn = structure_.mesh.num_nodes();
 
   // Quasi-Fermi-preserving reference state for the exponential update.
   const linalg::Vector psi0 = sol.psi;
@@ -88,7 +103,8 @@ double DeviceSimulator::solve_poisson(Solution& sol, BiasPoint bias) const {
 
   double last_update = 0.0;
   for (int it = 0; it < opts_.max_poisson_newton; ++it) {
-    linalg::BandedMatrix jac(nn, bw, bw);
+    linalg::BandedMatrix& jac = lu_.matrix();
+    jac.set_zero();
     linalg::Vector rhs(nn, 0.0);  // -F
 
     for (std::size_t nd = 0; nd < nn; ++nd) {
@@ -128,7 +144,8 @@ double DeviceSimulator::solve_poisson(Solution& sol, BiasPoint bias) const {
       }
     }
 
-    linalg::Vector dpsi = linalg::BandedLU(std::move(jac)).solve(rhs);
+    factor_and_solve(rhs);
+    const linalg::Vector& dpsi = rhs;
     double max_d = 0.0;
     for (std::size_t nd = 0; nd < nn; ++nd) {
       const double d = std::clamp(dpsi[nd], -opts_.newton_clamp,
@@ -150,14 +167,13 @@ double DeviceSimulator::solve_poisson(Solution& sol, BiasPoint bias) const {
   return last_update;
 }
 
-void DeviceSimulator::solve_continuity(Solution& sol, bool electrons) const {
-  const Mesh& mesh = structure_.mesh;
+void DeviceSimulator::solve_continuity(Solution& sol, bool electrons) {
   const EdgeTable& et = table_;
-  const std::size_t nn = mesh.num_nodes();
-  const std::size_t bw = mesh.ny();
+  const std::size_t nn = structure_.mesh.num_nodes();
   const double q_sign = electrons ? 1.0 : -1.0;
 
-  linalg::BandedMatrix a(nn, bw, bw);
+  linalg::BandedMatrix& a = lu_.matrix();
+  a.set_zero();
   linalg::Vector rhs(nn, 0.0);
   linalg::Vector& u = electrons ? sol.n : sol.p;
 
@@ -191,7 +207,8 @@ void DeviceSimulator::solve_continuity(Solution& sol, bool electrons) const {
     rhs[nd] += vol * ni_ * ni_ / denom;
   }
 
-  for (const Edge& e : et.edges) {
+  for (std::size_t k = 0; k < et.edges.size(); ++k) {
+    const Edge& e = et.edges[k];
     if (e.si_face <= 0.0) continue;
     const bool a_semi = et.si_volume[e.a] > 0.0;
     const bool b_semi = et.si_volume[e.b] > 0.0;
@@ -199,7 +216,7 @@ void DeviceSimulator::solve_continuity(Solution& sol, bool electrons) const {
 
     const double u_ab = q_sign * (sol.psi[e.a] - sol.psi[e.b]) / vt_;
     const double epar = std::fabs(sol.psi[e.a] - sol.psi[e.b]) / e.d;
-    const double mu = edge_mobility(electrons, e.abs_doping, epar);
+    const double mu = edge_mobility(electrons, k, epar);
     const double g = mu * vt_ * e.si_face / e.d;
     // Flux a->b = g * (u_a * B(u_ab) - u_b * B(-u_ab)).
     const double ba = bernoulli(u_ab);
@@ -219,13 +236,13 @@ void DeviceSimulator::solve_continuity(Solution& sol, bool electrons) const {
     }
   }
 
-  linalg::Vector result = linalg::BandedLU(std::move(a)).solve(rhs);
+  factor_and_solve(rhs);
   for (std::size_t nd = 0; nd < nn; ++nd) {
     if (et.si_volume[nd] <= 0.0) {
       u[nd] = 0.0;
       continue;
     }
-    u[nd] = std::max(result[nd], 1.0);  // positivity floor (1 carrier/m^3)
+    u[nd] = std::max(rhs[nd], 1.0);  // positivity floor (1 carrier/m^3)
   }
 }
 
@@ -256,6 +273,7 @@ Solution DeviceSimulator::solve_equilibrium() {
     upd = solve_poisson(sol, BiasPoint{0.0, 0.0});
     sol.gummel_iterations = it + 1;
   }
+  work_.gummel_iterations += static_cast<std::uint64_t>(sol.gummel_iterations);
   sol.converged = upd <= opts_.psi_tol;
   return sol;
 }
@@ -274,6 +292,8 @@ Solution DeviceSimulator::solve_single(BiasPoint bias, const Solution* seed) {
     if (upd < opts_.psi_tol && it >= 2) break;
   }
   sol.gummel_iterations = it + 1;
+  ++work_.continuation_steps;
+  work_.gummel_iterations += static_cast<std::uint64_t>(sol.gummel_iterations);
   sol.converged = upd < opts_.psi_tol * 10.0 + 1e-12 || upd < opts_.psi_tol;
   if (!sol.converged) {
     MIVTX_WARN << "gummel not converged at vg=" << bias.vg
@@ -283,6 +303,7 @@ Solution DeviceSimulator::solve_single(BiasPoint bias, const Solution* seed) {
 }
 
 const Solution& DeviceSimulator::solve(BiasPoint bias) {
+  ++work_.bias_points;
   if (!have_state_) {
     state_ = solve_equilibrium();
     state_.bias = BiasPoint{0.0, 0.0};
@@ -306,7 +327,8 @@ double DeviceSimulator::drain_current(const Solution& sol) const {
   const EdgeTable& et = table_;
   double current_per_width = 0.0;  // A per meter of width
 
-  for (const Edge& e : et.edges) {
+  for (std::size_t k = 0; k < et.edges.size(); ++k) {
+    const Edge& e = et.edges[k];
     if (e.si_face <= 0.0) continue;
     const bool a_drain = structure_.contact[e.a] == ContactKind::kDrain;
     const bool b_drain = structure_.contact[e.b] == ContactKind::kDrain;
@@ -317,8 +339,8 @@ double DeviceSimulator::drain_current(const Solution& sol) const {
 
     const double u = (sol.psi[c] - sol.psi[o]) / vt_;
     const double epar = std::fabs(sol.psi[c] - sol.psi[o]) / e.d;
-    const double mun = edge_mobility(true, e.abs_doping, epar);
-    const double mup = edge_mobility(false, e.abs_doping, epar);
+    const double mun = edge_mobility(true, k, epar);
+    const double mup = edge_mobility(false, k, epar);
     const double gn = mun * vt_ * e.si_face / e.d;
     const double gp = mup * vt_ * e.si_face / e.d;
     // Particle fluxes out of the contact node.

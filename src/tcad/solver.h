@@ -8,13 +8,17 @@
 //     field-dependent mobility (Caughey-Thomas doping term + velocity
 //     saturation) and linearized SRH recombination.
 //   * Linear solves: banded LU; natural y-fastest ordering keeps the
-//     bandwidth at ny.
+//     bandwidth at ny.  Each simulator owns one BandedLU workspace that
+//     every Poisson-Newton and continuity solve reassembles and refactors
+//     in place, so a solve allocates no matrix.
 //   * Bias continuation: solve() steps contacts in <=100 mV increments from
 //     the previous converged solution.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
+#include "linalg/banded.h"
 #include "linalg/vector_ops.h"
 #include "tcad/device.h"
 #include "tcad/edge_table.h"
@@ -44,6 +48,15 @@ struct Solution {
   linalg::Vector p;    // per node (m^-3)
 };
 
+// Work done by a simulator since its counts were last taken.
+struct SolverWork {
+  std::uint64_t bias_points = 0;         // solve() calls
+  std::uint64_t continuation_steps = 0;  // Gummel solves at one bias
+  // Gummel iterations at continuation steps plus equilibrium Poisson passes
+  std::uint64_t gummel_iterations = 0;
+  std::uint64_t banded_factorizations = 0;  // Poisson-Newton + continuity
+};
+
 class DeviceSimulator {
  public:
   explicit DeviceSimulator(DeviceSpec spec, GummelOptions opts = {});
@@ -67,18 +80,25 @@ class DeviceSimulator {
   // Sheet conductance diagnostics used by tests.
   double total_recombination(const Solution& sol) const;
 
+  // The work counts accumulated so far, which are then reset to zero.
+  SolverWork take_work();
+
  private:
   Solution solve_single(BiasPoint bias, const Solution* seed);
   // Equilibrium (all contacts grounded, Boltzmann carriers).
   Solution solve_equilibrium();
   // One nonlinear Poisson solve with frozen quasi-Fermi structure.
   // Returns the infinity norm of psi change.
-  double solve_poisson(Solution& sol, BiasPoint bias) const;
-  // Electron / hole continuity update; returns max relative carrier change.
-  void solve_continuity(Solution& sol, bool electrons) const;
+  double solve_poisson(Solution& sol, BiasPoint bias);
+  // Electron / hole continuity update.
+  void solve_continuity(Solution& sol, bool electrons);
+  // Factor the assembled lu_.matrix() in place and solve for rhs.
+  void factor_and_solve(linalg::Vector& rhs);
 
   double contact_psi(ContactKind kind, BiasPoint bias, double doping) const;
-  double edge_mobility(bool electrons, double doping_avg,
+  // Field-dependent mobility on edge `e` (velocity saturation applied to
+  // the edge's low-field mobility).
+  double edge_mobility(bool electrons, std::size_t e,
                        double e_parallel) const;
 
   DeviceSpec spec_;
@@ -87,6 +107,10 @@ class DeviceSimulator {
   EdgeTable table_;
   double vt_;  // thermal voltage
   double ni_;
+  // Per-edge low-field (Caughey-Thomas x mobility_factor) mobility, m^2/Vs.
+  std::vector<double> mu0_n_, mu0_p_;
+  linalg::BandedLU lu_;  // the one linear-solve workspace
+  SolverWork work_;
 
   bool have_state_ = false;
   Solution state_;

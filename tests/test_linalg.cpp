@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -146,6 +148,143 @@ TEST(Banded, OutOfBandAccess) {
   EXPECT_DOUBLE_EQ(b.at(0, 5), 0.0);
   EXPECT_THROW(b.set(0, 5, 1.0), mivtx::Error);
   EXPECT_THROW(b.at(6, 0), mivtx::Error);
+}
+
+// Reference elimination: the row-by-row kl+ku sweep BandedLU used before
+// its column-oriented, reach-tracked kernel, on a dense copy.  BandedLU
+// must reproduce its solutions bit for bit.  Counts its row swaps.
+Vector reference_banded_solve(const BandedMatrix& m, Vector b,
+                              std::size_t& swaps) {
+  const std::size_t n = m.size();
+  const std::size_t kl = m.lower_bandwidth();
+  const std::size_t kv = kl + m.upper_bandwidth();
+  DenseMatrix a(n, n);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c) a(r, c) = m.at(r, c);
+  std::vector<std::size_t> piv(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t rmax = std::min(j + kl, n - 1);
+    std::size_t p = j;
+    double best = std::fabs(a(j, j));
+    for (std::size_t r = j + 1; r <= rmax; ++r) {
+      if (std::fabs(a(r, j)) > best) {
+        best = std::fabs(a(r, j));
+        p = r;
+      }
+    }
+    piv[j] = p;
+    swaps += p != j;
+    const std::size_t cend = std::min(j + kv, n - 1);
+    if (p != j)
+      for (std::size_t c = j; c <= cend; ++c) std::swap(a(j, c), a(p, c));
+    const double inv = 1.0 / a(j, j);
+    for (std::size_t r = j + 1; r <= rmax; ++r) {
+      const double f = a(r, j) * inv;
+      a(r, j) = f;
+      if (f == 0.0) continue;
+      for (std::size_t c = j + 1; c <= cend; ++c) a(r, c) -= f * a(j, c);
+    }
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    if (piv[j] != j) std::swap(b[j], b[piv[j]]);
+    const double bj = b[j];
+    if (bj == 0.0) continue;
+    for (std::size_t r = j + 1; r <= std::min(j + kl, n - 1); ++r)
+      b[r] -= a(r, j) * bj;
+  }
+  for (std::size_t jj = n; jj-- > 0;) {
+    double s = b[jj];
+    for (std::size_t c = jj + 1; c <= std::min(jj + kv, n - 1); ++c)
+      s -= a(jj, c) * b[c];
+    b[jj] = s / a(jj, jj);
+  }
+  return b;
+}
+
+bool same_bits(const Vector& x, const Vector& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+// A banded matrix whose weak diagonal and scattered exact zeros make
+// partial pivoting swap rows and create fill past ku.
+BandedMatrix pivoting_matrix(std::size_t n, std::size_t kl, std::size_t ku,
+                             Rng& rng) {
+  BandedMatrix m(n, kl, ku);
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t c0 = r > kl ? r - kl : 0;
+    const std::size_t c1 = std::min(n - 1, r + ku);
+    for (std::size_t c = c0; c <= c1; ++c) {
+      double v = rng.uniform(-1, 1);
+      if (r == c)
+        v = r % 5 == 0 ? 0.0 : 1e-3 * v;  // zero or weak pivot
+      else if (rng.uniform(0, 1) < 0.2)
+        v = 0.0;  // exact zero
+      m.set(r, c, v);
+    }
+  }
+  return m;
+}
+
+struct PivotShape {
+  std::size_t n, kl, ku;
+};
+
+class BandedPivotingTest : public ::testing::TestWithParam<PivotShape> {};
+
+TEST_P(BandedPivotingTest, BitEqualToRowSweepReference) {
+  const auto [n, kl, ku] = GetParam();
+  Rng rng(7 + n + 31 * kl + 97 * ku);
+  const BandedMatrix m = pivoting_matrix(n, kl, ku, rng);
+  const BandedLU lu(m);
+  std::size_t swaps = 0;
+  for (int k = 0; k < 3; ++k) {
+    Vector b(n);
+    for (auto& v : b) v = rng.uniform(-1, 1);
+    if (k == 2) b[n / 2] = 0.0;
+    const Vector x = lu.solve(b);
+    EXPECT_TRUE(same_bits(x, reference_banded_solve(m, b, swaps)))
+        << "rhs " << k;
+    EXPECT_LT(max_abs_diff(m.multiply(x), b), 1e-6 * (1.0 + norm_inf(x)));
+  }
+  EXPECT_GT(swaps, 0u);  // the shape did force row swaps
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, BandedPivotingTest,
+                         ::testing::Values(PivotShape{6, 1, 1},
+                                           PivotShape{20, 3, 1},
+                                           PivotShape{25, 1, 4},
+                                           PivotShape{40, 6, 2},
+                                           PivotShape{40, 2, 7},
+                                           PivotShape{120, 15, 15},
+                                           PivotShape{90, 15, 4}));
+
+TEST(Banded, ReusedWorkspaceRefactorsToTheSameBits) {
+  const std::size_t n = 80, kl = 9, ku = 5;
+  Rng rng(11);
+  const BandedMatrix first = pivoting_matrix(n, kl, ku, rng);
+  const BandedMatrix second = pivoting_matrix(n, kl, ku, rng);
+  Vector b(n);
+  for (auto& v : b) v = rng.uniform(-1, 1);
+
+  BandedLU ws(n, kl, ku);
+  for (const BandedMatrix* m : {&first, &second, &first}) {
+    BandedMatrix& a = ws.matrix();
+    a.set_zero();
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = (r > kl ? r - kl : 0);
+           c <= std::min(n - 1, r + ku); ++c)
+        a.set(r, c, m->at(r, c));
+    ws.factor();
+    Vector x = b;
+    ws.solve_in_place(x);
+    EXPECT_TRUE(same_bits(x, BandedLU(*m).solve(b)));
+  }
+}
+
+TEST(Banded, SolveNeedsAFactorization) {
+  BandedLU ws(4, 1, 1);
+  EXPECT_THROW(ws.solve(Vector(4, 1.0)), mivtx::Error);
 }
 
 TEST(Banded, DetectsSingular) {

@@ -9,6 +9,7 @@
 // small enough for the tier-1 gate.
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -348,6 +349,63 @@ TEST(ServeServer, DeepNestingIsATypedErrorAndTheConnectionSurvives) {
 
   server.begin_shutdown();
   server.wait();
+}
+
+TEST(ServeServer, OversizedRequestIsRejectedWhileOthersAreServed) {
+  runtime::Metrics::global().reset();
+  serve::ServerOptions opts;
+  opts.port = 0;
+  opts.workers = 1;
+  serve::Server server(opts);
+  server.start();
+
+  // Several MiB without a newline.  The daemon stops buffering at its
+  // limit, so the bytes go from a thread rather than one blocking write.
+  serve::Socket flood = serve::connect_to("127.0.0.1", server.port());
+  const std::string junk(serve::kMaxRequestBytes + (std::size_t{2} << 20),
+                         'x');
+  std::jthread writer([&] { flood.write_all(junk); });
+
+  // A second client is served while the first one floods.
+  serve::Client other("127.0.0.1", server.port());
+  serve::Request health;
+  health.kind = serve::RequestKind::kHealth;
+  health.id = "beside-the-flood";
+  const serve::Response ok = other.call(health);
+  EXPECT_TRUE(ok.ok()) << ok.error;
+
+  serve::LineReader reader(flood.fd());
+  const auto rejected_line = reader.read_line();
+  ASSERT_TRUE(rejected_line.has_value());
+  const serve::Response rejected =
+      serve::Response::from_json_line(*rejected_line);
+  EXPECT_EQ(rejected.status, serve::ResponseStatus::kRequestTooLarge);
+  EXPECT_EQ(std::string(serve::status_name(rejected.status)),
+            "request_too_large");
+  EXPECT_FALSE(reader.read_line().has_value());  // then the daemon hangs up
+  writer.join();
+  flood.close();
+  EXPECT_EQ(runtime::Metrics::global().counter_total(
+                "serve.rejected.request_too_large"),
+            1.0);
+
+  // ... and still serves after it.
+  health.id = "after-the-flood";
+  EXPECT_TRUE(other.call(health).ok());
+
+  server.begin_shutdown();
+  server.wait();
+}
+
+TEST(ServeNet, LineReaderBoundsOnePendingLine) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  serve::Socket w(fds[0]), r(fds[1]);
+  serve::LineReader reader(r.fd(), 10);
+  ASSERT_TRUE(w.write_all("0123456789\nabcdefghijklmnop"));
+  EXPECT_EQ(reader.read_line(), std::optional<std::string>("0123456789"));
+  EXPECT_FALSE(reader.read_line().has_value());
+  EXPECT_TRUE(reader.too_long());
 }
 
 // The acceptance scenario: a herd of identical concurrent cold requests

@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "linalg/vector_ops.h"
+#include "runtime/metrics.h"
 #include "tcad/characterize.h"
 #include "tcad/device.h"
 #include "tcad/edge_table.h"
@@ -219,6 +220,27 @@ TEST(Characterizer, CggPositiveAndRises) {
   const Curve cv = ch.cgg_vg(0.0, {0.1, 0.9});
   EXPECT_GT(cv[0].y, 0.0);
   EXPECT_GT(cv[1].y, cv[0].y);
+}
+
+TEST(Characterizer, PublishesSolverWorkOncePerSweep) {
+  runtime::Metrics& m = runtime::Metrics::global();
+  m.reset();
+  DeviceSimulator sim(coarse());
+  Characterizer ch(sim);
+  // Continuation steps are <= 100 mV: 4 from (0, 0) to (0.4, 0.05), then
+  // 2 more to (0.4, 0.25).
+  ch.id_vd(0.4, {0.05, 0.25});
+  EXPECT_EQ(m.counter_total("tcad.bias_points"), 2.0);
+  EXPECT_EQ(m.counter_total("tcad.continuation_steps"), 6.0);
+  // Pinned for this coarse mesh: any change in the counts means the
+  // solver's work changed, not just its speed.
+  EXPECT_EQ(m.counter_total("tcad.gummel_iterations"), 45.0);
+  EXPECT_EQ(m.counter_total("tcad.banded_factorizations"), 259.0);
+  // Everything was published; the simulator holds no unpublished work.
+  const SolverWork rest = sim.take_work();
+  EXPECT_EQ(rest.bias_points + rest.continuation_steps +
+                rest.gummel_iterations + rest.banded_factorizations,
+            0u);
 }
 
 TEST(Device, BadSpecsRejected) {
