@@ -248,7 +248,7 @@ bool run_golden(const Args& args, verify::Json& out) {
       fs::create_directories(dir);
       std::ofstream os(file, std::ios::binary);
       if (!os) throw Error(format("cannot write %s", file.string().c_str()));
-      os << verify::render_baseline(measured, args.git_sha, args.jobs);
+      os << verify::render_baseline(measured, args.git_sha);
       args.log() << format("golden %s: wrote %zu metrics to %s\n",
                           suite.c_str(), measured.metrics.size(),
                           file.string().c_str());

@@ -140,6 +140,17 @@ runtime::CacheKey extraction_key(const ProcessParams& process, Variant v,
   return runtime::CacheKey{"card", h.digest()};
 }
 
+runtime::CacheKey library_key(const ProcessParams& process,
+                              const extract::SweepGrid& grid,
+                              const extract::ExtractionOptions& opts) {
+  StableHash h;
+  h.mix("mivtx-library").mix(kArtifactSchemaVersion);
+  mix_process(h, process);
+  mix_grid(h, grid);
+  mix_extraction_options(h, opts);
+  return runtime::CacheKey{"lib", h.digest()};
+}
+
 runtime::CacheKey ppa_key(const cells::ModelSet& models, cells::CellType type,
                           cells::Implementation impl, const PpaOptions& opts,
                           const layout::DesignRules& rules) {
@@ -249,6 +260,17 @@ extract::ExtractionReport parse_extraction(const std::string& text) {
     report.stages.push_back(std::move(s));
   }
   return report;
+}
+
+ModelLibrary parse_library(const std::string& text) {
+  ModelLibrary lib = ModelLibrary::from_text(text);
+  for (Polarity pol : {Polarity::kNmos, Polarity::kPmos})
+    for (Variant v : all_variants())
+      MIVTX_EXPECT(lib.has(v, pol),
+                   "model library artifact missing " + device_key(v, pol));
+  MIVTX_EXPECT(lib.size() == 2 * all_variants().size(),
+               "model library artifact has extra cards");
+  return lib;
 }
 
 std::string serialize_cell_ppa(const CellPpa& ppa) {

@@ -1,11 +1,14 @@
 // Cache keys and lossless serialization for the flow's cacheable artifacts.
 //
-// Three artifact domains, each keyed by a StableHash over *every* input the
+// Four artifact domains, each keyed by a StableHash over *every* input the
 // artifact depends on plus kArtifactSchemaVersion:
 //   "char" — extract::CharacteristicSet   from (ProcessParams, variant,
 //            polarity, SweepGrid): skips the TCAD characterization.
 //   "card" — extract::ExtractionReport    additionally keyed by the
 //            ExtractionOptions: skips the staged extraction.
+//   "lib"  — ModelLibrary (all 8 cards,   from (ProcessParams, SweepGrid,
+//            ModelLibrary::to_text)       ExtractionOptions): skips reading
+//                                         the 8 char + 8 card artifacts.
 //   "ppa"  — CellPpa                      from (ModelSet cards, cell, impl,
 //            PpaOptions physics fields, DesignRules): skips the transients.
 //
@@ -34,6 +37,9 @@ runtime::CacheKey characterization_key(const ProcessParams& process, Variant v,
 runtime::CacheKey extraction_key(const ProcessParams& process, Variant v,
                                  Polarity pol, const extract::SweepGrid& grid,
                                  const extract::ExtractionOptions& opts);
+runtime::CacheKey library_key(const ProcessParams& process,
+                              const extract::SweepGrid& grid,
+                              const extract::ExtractionOptions& opts);
 runtime::CacheKey ppa_key(const cells::ModelSet& models, cells::CellType type,
                           cells::Implementation impl, const PpaOptions& opts,
                           const layout::DesignRules& rules);
@@ -43,6 +49,10 @@ extract::CharacteristicSet parse_characteristics(const std::string& text);
 
 std::string serialize_extraction(const extract::ExtractionReport& report);
 extract::ExtractionReport parse_extraction(const std::string& text);
+
+// ModelLibrary::from_text that also requires every (variant, polarity)
+// card, so a payload missing a card is rejected instead of served.
+ModelLibrary parse_library(const std::string& text);
 
 std::string serialize_cell_ppa(const CellPpa& ppa);
 CellPpa parse_cell_ppa(const std::string& text);

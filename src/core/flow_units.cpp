@@ -1,5 +1,7 @@
 #include "core/flow_units.h"
 
+#include <utility>
+
 #include "common/error.h"
 #include "common/log.h"
 #include "core/artifacts.h"
@@ -12,31 +14,46 @@ namespace mivtx::core {
 
 namespace {
 
-// Fetch-or-compute scaffold shared by the units: cache lookup with corrupt
-// payloads demoted to misses, metric counters named <domain>.cache_hit /
-// <domain>.computed, and the key pinned against disk GC for the whole call.
+// Cache half of the scaffold: the parsed artifact, counted as
+// <domain>.cache_hit, or nullopt on a miss.  A payload that fails to parse
+// is demoted to a miss (the caller recomputes and overwrites it).
+template <typename T, typename Parse>
+std::optional<T> cached_value(const char* what, const runtime::CacheKey& key,
+                              runtime::ArtifactCache* cache, Parse parse) {
+  if (cache == nullptr) return std::nullopt;
+  const auto hit = cache->get(key);
+  if (!hit) return std::nullopt;
+  try {
+    T value = parse(*hit);
+    runtime::Metrics::global().add(std::string("flow.") + key.domain +
+                                   ".cache_hit");
+    return value;
+  } catch (const Error& e) {
+    MIVTX_WARN << "discarding unreadable cached " << what << " ("
+               << key.id() << "): " << e.what();
+    return std::nullopt;
+  }
+}
+
+// Fetch-or-compute scaffold shared by the units: cached_value, else
+// compute, count <domain>.computed and store; the key is pinned against
+// disk GC for the whole call.
 template <typename T, typename Parse, typename Compute, typename Serialize>
 T cached_unit(const char* what, const runtime::CacheKey& key,
               runtime::ArtifactCache* cache, Parse parse, Compute compute,
               Serialize serialize) {
-  runtime::Metrics& metrics = runtime::Metrics::global();
   const runtime::CachePin pin(cache, key);
-  if (cache != nullptr) {
-    if (const auto hit = cache->get(key)) {
-      try {
-        T value = parse(*hit);
-        metrics.add(std::string("flow.") + key.domain + ".cache_hit");
-        return value;
-      } catch (const Error& e) {
-        MIVTX_WARN << "discarding unreadable cached " << what << " ("
-                   << key.id() << "): " << e.what();
-      }
-    }
-  }
+  if (std::optional<T> value = cached_value<T>(what, key, cache, parse))
+    return std::move(*value);
   T value = compute();
-  metrics.add(std::string("flow.") + key.domain + ".computed");
+  runtime::Metrics::global().add(std::string("flow.") + key.domain +
+                                 ".computed");
   if (cache != nullptr) cache->put(key, serialize(value));
   return value;
+}
+
+CornerLibrary parse_corner_library(const std::string& text) {
+  return CornerLibrary{parse_library(text), text};
 }
 
 }  // namespace
@@ -81,6 +98,29 @@ DeviceExtraction run_extraction_unit(const ProcessParams& process, Variant v,
       },
       serialize_extraction);
   return dev;
+}
+
+CornerLibrary run_library_unit(const ProcessParams& process,
+                               const extract::SweepGrid& grid,
+                               const extract::ExtractionOptions& opts,
+                               const FlowOptions& exec) {
+  return cached_unit<CornerLibrary>(
+      "model library", library_key(process, grid, opts), exec.cache,
+      parse_corner_library,
+      [&] {
+        ModelLibrary cards = run_full_flow(process, grid, opts, exec).library;
+        std::string text = cards.to_text();
+        return CornerLibrary{std::move(cards), std::move(text)};
+      },
+      [](const CornerLibrary& lib) { return lib.text; });
+}
+
+std::optional<CornerLibrary> cached_library(
+    const ProcessParams& process, const extract::SweepGrid& grid,
+    const extract::ExtractionOptions& opts, runtime::ArtifactCache* cache) {
+  return cached_value<CornerLibrary>("model library",
+                                     library_key(process, grid, opts), cache,
+                                     parse_corner_library);
 }
 
 }  // namespace mivtx::core

@@ -1,6 +1,7 @@
 #include "runtime/artifact_cache.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -135,18 +136,24 @@ std::optional<std::string> ArtifactCache::disk_get(const CacheKey& key) {
 void ArtifactCache::disk_put(const CacheKey& key, const std::string& payload) {
   const fs::path path = fs::path(opts_.disk_dir) / key.filename();
   // Write-to-temp + rename so a concurrent reader (or a crash) never sees a
-  // half-written artifact.  The temp name carries the writer's pid: with a
-  // fixed ".tmp" suffix, two processes sharing one cache dir (benches with
-  // the same --cache-dir, parallel ctest workers) would truncate each
-  // other's half-written temp file and rename interleaved garbage into
-  // place.  Distinct temp names make the final rename the only contended
-  // step, and rename is atomic — last writer wins with complete content.
+  // half-written artifact.  The temp name is unique per writer — pid plus
+  // a process-wide sequence number: with a shared name, two processes
+  // sharing one cache dir (benches with the same --cache-dir, parallel
+  // ctest workers), or two threads of one process storing the same key,
+  // would truncate each other's half-written temp file and rename
+  // interleaved garbage into place.  Distinct temp names make the final
+  // rename the only contended step, and rename is atomic — last writer
+  // wins with complete content.
+  static std::atomic<std::uint64_t> temp_seq{0};
   const fs::path tmp =
-      path.string() + format(".%ld.tmp", static_cast<long>(::getpid()));
+      path.string() + format(".%ld.%llu.tmp", static_cast<long>(::getpid()),
+                             static_cast<unsigned long long>(temp_seq++));
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {
       MIVTX_WARN << "artifact cache: cannot write " << tmp.string();
+      std::lock_guard<std::mutex> lk(m_);
+      ++stats_.disk_write_failures;
       return;
     }
     out << "mivtx-artifact " << kCacheFormatVersion << ' ' << key.domain << ' '
@@ -163,6 +170,8 @@ void ArtifactCache::disk_put(const CacheKey& key, const std::string& payload) {
     MIVTX_WARN << "artifact cache: rename to " << path.string() << " failed ("
                << ec.message() << ")";
     fs::remove(tmp, ec);
+    std::lock_guard<std::mutex> lk(m_);
+    ++stats_.disk_write_failures;
     return;
   }
   std::lock_guard<std::mutex> lk(m_);

@@ -50,6 +50,7 @@ struct CacheStats {
   std::uint64_t corrupt = 0;    // disk payloads rejected by validation
   std::uint64_t evictions = 0;  // LRU evictions (memory layer only)
   std::uint64_t disk_evictions = 0;  // files removed by the disk GC
+  std::uint64_t disk_write_failures = 0;  // stores whose file never landed
 
   double hit_rate() const {
     const std::uint64_t n = hits + misses;

@@ -85,14 +85,18 @@ void Server::wait() {
   }
   work_cv_.notify_all();
   for (std::thread& w : workers_) w.join();
+  std::map<std::thread::id, std::thread> readers;
   {
-    // Unblock every reader thread; their sockets half-close so any final
-    // write already flushed still reaches the client.
+    // Unblock every reader thread still running; their sockets half-close
+    // so any final write already flushed still reaches the client.  Taking
+    // the threads out of readers_ makes wait() their joiner: a reader that
+    // ends from here on finds itself gone and just returns.
     std::lock_guard<std::mutex> lock(m_);
     for (const std::shared_ptr<Connection>& c : conns_)
       c->sock.shutdown_read();
+    readers.swap(readers_);
   }
-  for (std::thread& t : reader_threads_) t.join();
+  for (auto& [id, t] : readers) t.join();
   MIVTX_INFO << "serve: drained; final metrics\n"
              << runtime::Metrics::global().render_text();
 }
@@ -112,9 +116,13 @@ void Server::accept_loop() {
     Socket sock = listener_.accept();
     if (!sock.valid()) return;  // listener closed: drain started
     auto conn = std::make_shared<Connection>(std::move(sock));
+    // Started and registered under one lock hold, so the reader cannot
+    // look itself up in readers_ before it is there.
     std::lock_guard<std::mutex> lock(m_);
     conns_.insert(conn);
-    reader_threads_.emplace_back(&Server::reader_loop, this, conn);
+    std::thread reader(&Server::reader_loop, this, conn);
+    const std::thread::id id = reader.get_id();
+    readers_.emplace(id, std::move(reader));
   }
 }
 
@@ -138,6 +146,14 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
   }
   std::lock_guard<std::mutex> lock(m_);
   conns_.erase(conn);
+  // Release this thread now rather than at wait(): a joined-later reader
+  // keeps its stack mapped for the daemon's lifetime.  Once wait() has
+  // taken the readers it joins this one instead.
+  const auto self = readers_.find(std::this_thread::get_id());
+  if (self != readers_.end()) {
+    self->second.detach();
+    readers_.erase(self);
+  }
 }
 
 bool Server::handle_line(const std::shared_ptr<Connection>& conn,

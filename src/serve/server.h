@@ -5,7 +5,9 @@
 //   - one accept thread;
 //   - one reader thread per connection, parsing request lines.  Admin
 //     kinds (health / metrics / shutdown) answer inline; compute kinds go
-//     through admission control into the bounded queue;
+//     through admission control into the bounded queue.  A reader whose
+//     connection ends detaches itself and exits, so a long-lived daemon
+//     polled over short connections holds no finished threads;
 //   - `workers` worker threads popping the queue and running
 //     Service::execute.  Identical requests coalesce inside the service,
 //     so a herd of N equal requests occupies N workers but computes once.
@@ -21,8 +23,8 @@
 //   2. workers finish every already-admitted job and flush its response —
 //      admitted work is never lost;
 //   3. once the queue is empty and no worker is active, half-close every
-//      connection's read side to unblock the reader threads, join
-//      everything, flush final metrics to the log.
+//      connection's read side to unblock the reader threads still running,
+//      join them and everything else, flush final metrics to the log.
 // begin_shutdown() is safe from any thread (including a reader thread
 // handling a "shutdown" request); only wait() joins.
 #pragma once
@@ -30,6 +32,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -109,7 +112,9 @@ class Server {
   bool started_ = false;
   bool joined_ = false;
   std::set<std::shared_ptr<Connection>> conns_;
-  std::vector<std::thread> reader_threads_;
+  // Readers still running.  A reader that finishes removes (and detaches)
+  // itself; wait() takes the rest and joins them.
+  std::map<std::thread::id, std::thread> readers_;
 
   std::thread accept_thread_;
   std::vector<std::thread> workers_;

@@ -1,5 +1,6 @@
 #include "serve/service.h"
 
+#include <optional>
 #include <utility>
 
 #include "charlib/characterize.h"
@@ -81,6 +82,34 @@ Response Service::execute(const Request& req) {
   return resp;
 }
 
+core::CornerLibrary Service::corner_library(const Request& req) {
+  if (std::optional<core::CornerLibrary> hit = core::cached_library(
+          req.process, req.grid, req.extraction, &cache_))
+    return std::move(*hit);
+  // Cold corner: one flight per library key, so distinct requests that
+  // need the same cards run the 8 device pipelines once.  The leader's
+  // run_library_unit checks the cache again, which covers a request that
+  // missed just before another flight stored the library and closed.
+  core::FlowOptions fo;
+  fo.jobs = opts_.jobs;
+  fo.cache = &cache_;
+  std::optional<core::CornerLibrary> computed;
+  const std::string flight =
+      core::library_key(req.process, req.grid, req.extraction).id();
+  const auto result = library_flight_.run(flight, [&] {
+    computed =
+        core::run_library_unit(req.process, req.grid, req.extraction, fo);
+    Coalescer::Result r;
+    r.ok = true;
+    return r;
+  }).first;
+  if (!result->ok) throw Error(result->error);
+  if (computed) return std::move(*computed);
+  // Follower: the leader stored the library before it closed the flight,
+  // so this is a cache hit (the unit recomputes only if it was evicted).
+  return core::run_library_unit(req.process, req.grid, req.extraction, fo);
+}
+
 Coalescer::Result Service::compute(const Request& req) {
   Coalescer::Result r;
   Json meta = Json::object();
@@ -103,29 +132,17 @@ Coalescer::Result Service::compute(const Request& req) {
       break;
     }
     case RequestKind::kFlow: {
-      core::FlowOptions fo;
-      fo.jobs = opts_.jobs;
-      fo.cache = &cache_;
-      const core::FlowResult result =
-          core::run_full_flow(req.process, req.grid, req.extraction, fo);
-      r.payload = result.library.to_text();
+      core::CornerLibrary library = corner_library(req);
       meta.set("cards",
-               Json::number(static_cast<double>(result.library.size())));
+               Json::number(static_cast<double>(library.cards.size())));
+      r.payload = std::move(library.text);
       break;
     }
     case RequestKind::kPpa: {
-      // The derived-library path runs (or resumes) the full flow under this
-      // request's corner first; with a warm cache that is pure
-      // deserialization.
+      // The derived-library path reads this request's corner library
+      // first (see corner_library).
       core::ModelLibrary derived;
-      if (!req.reference_library) {
-        core::FlowOptions fo;
-        fo.jobs = opts_.jobs;
-        fo.cache = &cache_;
-        derived =
-            core::run_full_flow(req.process, req.grid, req.extraction, fo)
-                .library;
-      }
+      if (!req.reference_library) derived = corner_library(req).cards;
       const core::ModelLibrary& library = req.reference_library
                                               ? core::reference_model_library()
                                               : derived;
@@ -145,16 +162,11 @@ Coalescer::Result Service::compute(const Request& req) {
       break;
     }
     case RequestKind::kCharlib: {
-      // Library entry characterization runs (or resumes) the full flow
-      // under this request's corner, then sweeps the cell's NLDM grid;
-      // both stages read and fill the daemon's artifact cache, so a warm
-      // repeat is pure deserialization.
-      core::FlowOptions fo;
-      fo.jobs = opts_.jobs;
-      fo.cache = &cache_;
-      const core::ModelLibrary library =
-          core::run_full_flow(req.process, req.grid, req.extraction, fo)
-              .library;
+      // Library entry characterization reads this request's corner
+      // library, then sweeps the cell's NLDM grid; both stages read and
+      // fill the daemon's artifact cache, so a warm repeat is pure
+      // deserialization.
+      const core::ModelLibrary library = corner_library(req).cards;
       charlib::CharOptions copts;
       copts.grid = req.char_grid == "mini" ? charlib::mini_char_grid()
                                            : charlib::default_char_grid();

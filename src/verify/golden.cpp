@@ -256,13 +256,12 @@ GoldenSuiteResult compute_golden_suite(const std::string& suite,
 }
 
 std::string render_baseline(const GoldenSuiteResult& result,
-                            const std::string& git_sha, std::size_t jobs) {
+                            const std::string& git_sha) {
   Json doc = Json::object();
   doc.set("suite", Json::string(result.suite));
   Json prov = Json::object();
   prov.set("git_sha", Json::string(git_sha.empty() ? "unknown" : git_sha));
   prov.set("generator", Json::string("mivtx_verify --refresh-goldens"));
-  prov.set("jobs", Json::number(static_cast<double>(jobs)));
   doc.set("provenance", std::move(prov));
   Json metrics = Json::object();
   for (const GoldenMetric& m : result.metrics) {

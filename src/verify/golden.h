@@ -4,7 +4,7 @@
 // A baseline is a checked-in JSON document (tests/golden/<suite>.json):
 //   {
 //     "suite": "fig5",
-//     "provenance": {"git_sha": "...", "generator": "...", "jobs": N},
+//     "provenance": {"git_sha": "...", "generator": "..."},
 //     "metrics": {"delay.2d.NAND2X1_ps": {"value": 12.3, "rtol": 0.005}, ...}
 //   }
 // check_against_baseline re-measures the suite and fails on any metric
@@ -75,9 +75,10 @@ GoldenSuiteResult compute_golden_suite(const std::string& suite,
                                        GoldenContext& ctx);
 
 // Serialize with provenance; byte-stable for identical inputs (numbers go
-// through format_double, no timestamps).
+// through format_double, no timestamps, no job count — results do not
+// depend on it).
 std::string render_baseline(const GoldenSuiteResult& result,
-                            const std::string& git_sha, std::size_t jobs);
+                            const std::string& git_sha);
 
 enum class MetricStatus { kOk, kDrifted, kMissingFromRun, kNotInBaseline };
 

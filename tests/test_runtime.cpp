@@ -13,6 +13,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -276,6 +277,45 @@ TEST(ArtifactCache, CorruptDiskFileIsAMissNotAnError) {
   runtime::ArtifactCache reader2(opts);
   EXPECT_EQ(reader2.get(key).value(), "recomputed");
   fs::remove_all(dir);
+}
+
+TEST(ArtifactCache, ConcurrentStoresOfOneKeyNeverTearTheFile) {
+  // Threads of one process storing the same key (two requests finishing
+  // one artifact) must each write their own temp file: a shared one is
+  // truncated under a writer and renamed away half-written.
+  const testutil::ScopedTempDir scoped("mivtx_cache_race");
+  runtime::ArtifactCache::Options opts;
+  opts.disk_dir = scoped.str();
+  runtime::ArtifactCache writer(opts);
+  const runtime::CacheKey key{"char", 7};
+  const std::string payload(std::size_t{2} << 20, 'p');
+  writer.put(key, payload);
+
+  std::atomic<bool> done{false};
+  std::uint64_t corrupt = 0, torn = 0;
+  std::thread reader([&] {
+    while (!done.load()) {
+      // A fresh instance per read: its memory layer never masks the disk.
+      runtime::ArtifactCache other(opts);
+      const auto hit = other.get(key);
+      if (hit && *hit != payload) ++torn;
+      corrupt += other.stats().corrupt;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 4; ++t)
+    writers.emplace_back([&] {
+      for (int i = 0; i < 100; ++i) writer.put(key, payload);
+    });
+  for (std::thread& w : writers) w.join();
+  done = true;
+  reader.join();
+
+  EXPECT_EQ(writer.stats().disk_write_failures, 0u);
+  EXPECT_EQ(corrupt, 0u);
+  EXPECT_EQ(torn, 0u);
+  for (const auto& entry : fs::directory_iterator(scoped.path()))
+    EXPECT_EQ(entry.path().extension(), ".art") << entry.path();
 }
 
 TEST(ArtifactCache, DiskGcEvictsOldestUnpinnedFirst) {

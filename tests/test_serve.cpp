@@ -9,6 +9,7 @@
 // small enough for the tier-1 gate.
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <thread>
@@ -69,6 +70,19 @@ bool wait_for_health(int port, Pred pred, std::chrono::seconds budget = 30s) {
 double health_number(const Json& meta, const std::string& key) {
   const Json* v = meta.find(key);
   return v == nullptr ? -1.0 : v->as_number();
+}
+
+double counter(const char* name) {
+  return runtime::Metrics::global().counter_total(name);
+}
+
+// This process's virtual size from /proc/self/status, in KiB (0 if absent).
+long vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  return 0;
 }
 
 TEST(ServeProtocol, RequestRoundTripIsExact) {
@@ -397,6 +411,38 @@ TEST(ServeServer, OversizedRequestIsRejectedWhileOthersAreServed) {
   server.wait();
 }
 
+// A connection's reader thread is released when the connection ends, not
+// at shutdown: a daemon polled over short connections (GET /healthz,
+// scripted mivtx_client calls) must not keep one 8 MiB stack per closed
+// connection mapped.
+TEST(ServeServer, ClosedConnectionsReleaseTheirReaderThreads) {
+  serve::ServerOptions opts;
+  opts.port = 0;
+  opts.workers = 1;
+  serve::Server server(opts);
+  server.start();
+
+  serve::Request health;
+  health.kind = serve::RequestKind::kHealth;
+  health.id = "poll";
+  const auto poll = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      serve::Client client("127.0.0.1", server.port());
+      ASSERT_TRUE(client.call(health).ok());
+    }
+  };
+  poll(20);  // warm up allocator arenas and the thread-stack cache
+  const long before = vm_size_kib();
+  ASSERT_GT(before, 0);
+  poll(300);
+  const long grown_kib = vm_size_kib() - before;
+  // Unreleased readers would grow this by ~300 x 8 MiB = 2.4 GiB.
+  EXPECT_LT(grown_kib, 128 * 1024) << "VmSize grew " << grown_kib << " KiB";
+
+  server.begin_shutdown();
+  server.wait();
+}
+
 TEST(ServeNet, LineReaderBoundsOnePendingLine) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
@@ -661,6 +707,136 @@ TEST(ServeServer, DrainCompletesAdmittedWorkAndRejectsNew) {
   EXPECT_TRUE(resp_b->ok()) << resp_b->error;
 
   server.wait();
+}
+
+// Warm corner: flow, derived-library ppa and charlib requests take the
+// corner's cards from the one "lib" artifact, so none of them reads a
+// curve or card artifact, and each payload equals the local computation.
+TEST(ServeService, WarmCornerReadsOnlyTheLibraryArtifact) {
+  const testutil::ScopedTempDir cache_dir("mivtx_serve_warm_lib");
+  serve::ServiceOptions opts;
+  opts.cache.disk_dir = cache_dir.str();
+  serve::Service service(opts);
+  ASSERT_TRUE(service.execute(tiny_request(serve::RequestKind::kFlow)).ok());
+
+  runtime::Metrics::global().reset();
+  const serve::Response flow =
+      service.execute(tiny_request(serve::RequestKind::kFlow));
+  serve::Request ppa_req = tiny_request(serve::RequestKind::kPpa);
+  ppa_req.cell = cells::CellType::kNand2;
+  ppa_req.impl = cells::Implementation::kMiv1Channel;
+  const serve::Response ppa = service.execute(ppa_req);
+  serve::Request lib_req = tiny_request(serve::RequestKind::kCharlib);
+  lib_req.cell = cells::CellType::kInv1;
+  lib_req.impl = cells::Implementation::kMiv1Channel;
+  lib_req.char_grid = "mini";
+  const serve::Response entry = service.execute(lib_req);
+  ASSERT_TRUE(flow.ok()) << flow.error;
+  ASSERT_TRUE(ppa.ok()) << ppa.error;
+  ASSERT_TRUE(entry.ok()) << entry.error;
+
+  EXPECT_EQ(counter("flow.lib.cache_hit"), 3.0);
+  EXPECT_EQ(counter("flow.lib.computed"), 0.0);
+  for (const char* name : {"flow.char.cache_hit", "flow.char.computed",
+                           "flow.card.cache_hit", "flow.card.computed"})
+    EXPECT_EQ(counter(name), 0.0) << name;
+
+  // Local ground truth from the card artifacts the daemon wrote.
+  runtime::ArtifactCache::Options copts;
+  copts.disk_dir = cache_dir.str();
+  runtime::ArtifactCache cache(copts);
+  core::FlowOptions fo;
+  fo.cache = &cache;
+  const serve::Request req = tiny_request(serve::RequestKind::kFlow);
+  const core::ModelLibrary local =
+      core::run_full_flow(req.process, req.grid, req.extraction, fo).library;
+  EXPECT_EQ(flow.payload, local.to_text());
+
+  core::PpaOptions popts;
+  popts.vdd = req.process.vdd;
+  core::PpaEngine engine(local, popts);
+  EXPECT_EQ(ppa.payload,
+            core::serialize_cell_ppa(engine.measure(ppa_req.cell,
+                                                    ppa_req.impl)));
+
+  charlib::CharOptions char_opts;
+  char_opts.grid = charlib::mini_char_grid();
+  char_opts.ppa.vdd = req.process.vdd;
+  const charlib::Characterizer characterizer(local, char_opts);
+  charlib::CharLibrary one;
+  one.slew_axis = characterizer.grid().slews;
+  one.load_axis = characterizer.grid().loads;
+  one.insert(lib_req.impl,
+             characterizer.characterize_cell(lib_req.cell, lib_req.impl));
+  EXPECT_EQ(entry.payload, one.to_text());
+}
+
+// Distinct requests at one cold corner share its flow: the library flight
+// runs the 8 device pipelines once for four different charlib cells.
+TEST(ServeServer, ColdCornerDistinctRequestsRunTheFlowOnce) {
+  runtime::Metrics::global().reset();
+  serve::ServerOptions opts;
+  opts.port = 0;
+  opts.workers = 4;
+  serve::Server server(opts);
+  server.start();
+
+  const cells::CellType herd[] = {cells::CellType::kInv1,
+                                  cells::CellType::kNand2,
+                                  cells::CellType::kNor2,
+                                  cells::CellType::kAnd2};
+  std::vector<serve::Response> responses(std::size(herd));
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < std::size(herd); ++i) {
+    clients.emplace_back([&, i] {
+      serve::Request req = tiny_request(serve::RequestKind::kCharlib);
+      req.id = "cell-" + std::to_string(i);
+      req.cell = herd[i];
+      req.impl = cells::Implementation::kMiv1Channel;
+      req.char_grid = "mini";
+      serve::Client client("127.0.0.1", server.port());
+      responses[i] = client.call(req);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (const serve::Response& resp : responses)
+    EXPECT_TRUE(resp.ok()) << resp.error;
+
+  EXPECT_EQ(counter("flow.char.computed"), 8.0);
+  EXPECT_EQ(counter("flow.card.computed"), 8.0);
+  EXPECT_EQ(counter("flow.lib.computed"), 1.0);
+  EXPECT_EQ(counter("serve.computed"), 4.0);  // distinct: none coalesce
+
+  server.begin_shutdown();
+  server.wait();
+}
+
+// A "lib" artifact that does not parse is a miss: the library is rebuilt
+// from the card artifacts, with no TCAD or extraction rerun, and the bad
+// entry is overwritten.
+TEST(ServeService, CorruptLibraryArtifactIsRebuiltFromTheCards) {
+  serve::Service service;
+  const serve::Request req = tiny_request(serve::RequestKind::kFlow);
+  const serve::Response cold = service.execute(req);
+  ASSERT_TRUE(cold.ok()) << cold.error;
+
+  const runtime::CacheKey key =
+      core::library_key(req.process, req.grid, req.extraction);
+  const std::string truncated =
+      cold.payload.substr(0, cold.payload.find('\n') + 1);
+  for (const std::string& bad : {std::string("not a model library\n"),
+                                 truncated}) {
+    service.cache().put(key, bad);
+    runtime::Metrics::global().reset();
+    const serve::Response rebuilt = service.execute(req);
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.error;
+    EXPECT_EQ(rebuilt.payload, cold.payload);
+    EXPECT_EQ(counter("flow.lib.computed"), 1.0);
+    EXPECT_EQ(counter("flow.char.computed"), 0.0);
+    EXPECT_EQ(counter("flow.card.computed"), 0.0);
+    EXPECT_EQ(counter("flow.card.cache_hit"), 8.0);
+    EXPECT_EQ(service.cache().get(key), cold.payload);
+  }
 }
 
 }  // namespace

@@ -239,8 +239,8 @@ TEST(VerifyGolden, RenderIsByteStableAndSelfCheckPasses) {
   verify::GoldenContext ctx;
   const verify::GoldenSuiteResult t2 = verify::compute_golden_suite("table2", ctx);
   EXPECT_FALSE(t2.metrics.empty());
-  const std::string a = verify::render_baseline(t2, "abc123", 1);
-  const std::string b = verify::render_baseline(t2, "abc123", 1);
+  const std::string a = verify::render_baseline(t2, "abc123");
+  const std::string b = verify::render_baseline(t2, "abc123");
   EXPECT_EQ(a, b);
   const verify::GoldenCheck check = verify::check_against_baseline(t2, a);
   EXPECT_TRUE(check.pass) << check.summary();
@@ -254,7 +254,7 @@ TEST(VerifyGolden, PerturbedBaselineFails) {
   verify::GoldenContext ctx;
   const verify::GoldenSuiteResult t1 = verify::compute_golden_suite("table1", ctx);
   verify::Json doc =
-      verify::Json::parse(verify::render_baseline(t1, "deadbeef", 1));
+      verify::Json::parse(verify::render_baseline(t1, "deadbeef"));
   verify::Json* metrics = const_cast<verify::Json*>(doc.find("metrics"));
   ASSERT_NE(metrics, nullptr);
   ASSERT_FALSE(metrics->members().empty());
@@ -284,7 +284,7 @@ TEST(VerifyGolden, PerturbedBaselineFails) {
 TEST(VerifyGolden, SchemaDriftIsDrift) {
   verify::GoldenContext ctx;
   verify::GoldenSuiteResult t2 = verify::compute_golden_suite("table2", ctx);
-  const std::string baseline = verify::render_baseline(t2, "x", 1);
+  const std::string baseline = verify::render_baseline(t2, "x");
   // The run now produces an extra metric the baseline never recorded.
   t2.metrics.push_back({"card.brand_new", 1.0, 1e-6});
   verify::GoldenCheck check = verify::check_against_baseline(t2, baseline);
